@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,9 +27,8 @@ import numpy as np
 from . import quadrature
 from ._fmt import fmt17
 from ._version import __version__
-from .errors import NegativeRadicand
-from .jets import Jet, jet_eval, jet_sin_cos, jet_sqrt
-from .profile import EdgeData, rho
+from .jets import jet_eval, jet_sin_cos, jet_sqrt, variable_jet
+from .profile import EdgeData, sqrt_at, star_radicand, x_squared
 
 # Pointwise evaluation switches to truncated jets inside this radius.
 NEAR_ZERO_RADIUS = 1e-4
@@ -83,51 +81,55 @@ class Mesh:
         )
 
 
-def x_radicand(data: EdgeData, s):
-    u = data.u_value(s)
-    return data.m**2 * u**2 - data.h**2
+def profile_rates(data: EdgeData, wk, u, v, sqrt):
+    """(x, x', z integrand, theta integrand) at w from w^k, U(w), V(w); floats or jets.
+
+    The integrands are those of the module docstring, and x' = m^2 U U' / x
+    with U' = w^k V. ``sqrt`` is the square root of the same backend.
+    """
+    m, h = data.m, data.h
+    xsq = x_squared(u, h, m)
+    x = data.eps0 * sqrt(xsq)
+    rho = sqrt(star_radicand(u, v, h, m))
+    return x, m * m * u * (wk * v) / x, wk * u * rho / xsq, wk * rho / (u * xsq)
+
+
+def _rates(data: EdgeData, w):
+    """profile_rates at the float point w."""
+    return profile_rates(data, w**data.k, data.u_value(w), data.v_value(w), sqrt_at(w))
+
+
+def _jets_at(data: EdgeData, s0, order):
+    """profile_rates as jets at s0; V from the datum's series at 0, else U'/s^k."""
+    wk = variable_jet(s0, order) ** data.k
+    if s0 == 0.0:
+        u_j, v_j = data.u_jet(order), data.v_jet.truncated(order)
+    else:
+        u_j = jet_eval(data.U, s0, order + 1)
+        u_j, v_j = u_j.truncated(order), u_j.differentiate() / wk
+    return profile_rates(data, wk, u_j, v_j, jet_sqrt)
 
 
 def x_of_s(data: EdgeData, s):
     """x(s) = eps0 sqrt(m^2 U^2 - h^2); never zero on a valid datum."""
-    r = x_radicand(data, s)
-    if r <= 0.0:
-        raise NegativeRadicand(
-            f"m^2 U^2 - h^2 = {r!r} at s = {s!r}", location=s, value=r
-        )
-    return data.eps0 * math.sqrt(r)
+    return data.eps0 * sqrt_at(s)(x_squared(data.u_value(s), data.h, data.m))
 
 
 def _z_integrand(data):
-    def f(w):
-        u = data.u_value(w)
-        return w**data.k * u * rho(data, w) / (data.m**2 * u**2 - data.h**2)
-    return f
+    return lambda w: _rates(data, w)[2]
 
 
 def _theta_integrand(data):
-    def f(w):
-        u = data.u_value(w)
-        return w**data.k * rho(data, w) / (u * (data.m**2 * u**2 - data.h**2))
-    return f
+    return lambda w: _rates(data, w)[3]
 
 
 @lru_cache(maxsize=256)
 def _series_bundle(data: EdgeData, order):
-    """Jets at s = 0 of all s-dependent pieces, to the given order."""
-    u_j = data.u_jet(order + data.k + 1)
-    v_j = data.v_jet.truncated(order)
-    u_j = u_j.truncated(order)
-    m, h = data.m, data.h
-    denom_j = m**2 * (u_j * u_j) - h**2
-    rho_j = jet_sqrt(denom_j - m**4 * (u_j * u_j) * (v_j * v_j))
-    x_j = data.eps0 * jet_sqrt(denom_j)
-    s_pow = Jet(0.0, (0.0,) * data.k + (1.0,) + (0.0,) * (order - data.k))
-    zp_j = data.eps2 * m * (s_pow * u_j * rho_j / denom_j)
-    z_j = zp_j.antiderivative().truncated(order)
-    ip_j = s_pow * rho_j / (u_j * denom_j)
-    i_j = ip_j.antiderivative().truncated(order)
-    return u_j, v_j, rho_j, x_j, z_j, i_j
+    """Jets at s = 0 of x, z and the theta integral, to the given order."""
+    x_j, _, zi_j, ti_j = _jets_at(data, 0.0, order)
+    z_j = (data.eps2 * data.m * zi_j).antiderivative().truncated(order)
+    i_j = ti_j.antiderivative().truncated(order)
+    return x_j, z_j, i_j
 
 
 def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):
@@ -137,7 +139,7 @@ def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if abs(s) < NEAR_ZERO_RADIUS:
-        z_j = _series_bundle(data, _NEAR_ZERO_JET_ORDER)[4]
+        z_j = _series_bundle(data, _NEAR_ZERO_JET_ORDER)[1]
         return z_j(s)
     val, _ = quadrature.integrate(_z_integrand(data), 0.0, s, tol / data.m)
     return data.eps2 * data.m * val
@@ -152,7 +154,7 @@ def _theta_integral(data: EdgeData, s, tol):
     if s == 0.0 or data.h == 0.0:
         return 0.0
     if abs(s) < NEAR_ZERO_RADIUS:
-        i_j = _series_bundle(data, _NEAR_ZERO_JET_ORDER)[5]
+        i_j = _series_bundle(data, _NEAR_ZERO_JET_ORDER)[2]
         return i_j(s)
     tol_int = tol * data.m / max(abs(data.h), 1.0)
     val, _ = quadrature.integrate(_theta_integrand(data), 0.0, s, tol_int)
@@ -163,12 +165,16 @@ def theta(data: EdgeData, s, t, tol=DEFAULT_TOL):
     """theta(s, t); reduces to eps1 t / m at s = 0 and for h = 0."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    integral = _theta_integral(data, s, tol)
+    return _theta_from(data, t, _theta_integral(data, s, tol))
+
+
+def _theta_from(data, t, integral):
+    """theta from t and the t-independent integral; floats or jets."""
     return (data.eps1 * t - data.eps2 * data.h * integral) / data.m
 
 
 def _assemble(data, s, t, x, z, theta_int):
-    th = (data.eps1 * t - data.eps2 * data.h * theta_int) / data.m
+    th = _theta_from(data, t, theta_int)
     return (
         x * math.cos(th),
         x * math.sin(th),
@@ -195,8 +201,8 @@ def psi_jet_at_zero(data: EdgeData, t, order):
     Computed by term-wise integration of the integrand jets; no quadrature.
     """
     work = order + 2
-    u_j, v_j, rho_j, x_j, z_j, i_j = _series_bundle(data, work)
-    theta_j = (data.eps1 * t - data.eps2 * data.h * i_j) * (1.0 / data.m)
+    x_j, z_j, i_j = _series_bundle(data, work)
+    theta_j = _theta_from(data, t, i_j)
     sin_j, cos_j = jet_sin_cos(theta_j)
     p1 = x_j * cos_j
     p2 = x_j * sin_j
@@ -211,31 +217,17 @@ def first_fundamental_form(data: EdgeData, s, t):
     coefficients are assembled from x', z', theta_s, theta_t without assuming
     that identity.
     """
-    u = data.u_value(s)
-    up = jet_eval(data.U, s, 1).coeffs[1]
-    xr = x_radicand(data, s)
-    if xr <= 0.0:
-        raise NegativeRadicand(f"m^2 U^2 - h^2 = {xr!r} at s = {s!r}", location=s, value=xr)
-    x = data.eps0 * math.sqrt(xr)
-    r = rho(data, s)
-    m, h, k = data.m, data.h, data.k
-    xprime = m**2 * u * up / x
-    zprime = data.eps2 * m * s**k * u * r / xr
-    theta_s = -data.eps2 * h * s**k * r / (m * u * xr)
+    x, xprime, zi, ti = _rates(data, s)
+    m, h = data.m, data.h
+    xr = x * x
+    zprime = data.eps2 * m * zi
+    theta_s = -data.eps2 * h * ti / m
     theta_t = data.eps1 / m
     zh = zprime + h * theta_s
     E = xprime**2 + xr * theta_s**2 + zh**2
     F = theta_t * (xr * theta_s + h * zh)
     G = theta_t**2 * (xr + h**2)
     return FundamentalForm(E=E, F=F, G=G)
-
-
-def _worker_count():
-    raw = os.environ.get("BOUR_EDGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _snap_zero_row(values):
@@ -260,25 +252,14 @@ def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60, to
         singular_row = _snap_zero_row(s_values)
     t_values = np.linspace(t_range[0], t_range[1], cols)
 
-    def row_positions(r):
-        s = float(s_values[r])
+    positions = np.empty((rows, cols, 3))
+    for r, s in enumerate(s_values):
+        s = float(s)
         x = x_of_s(data, s)
         z = z_of_s(data, s, tol)
         integral = _theta_integral(data, s, tol)
-        out = np.empty((len(t_values), 3))
         for c, t in enumerate(t_values):
-            out[c] = _assemble(data, s, float(t), x, z, integral)
-        return out
-
-    workers = _worker_count()
-    positions = np.empty((rows, cols, 3))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, block in enumerate(pool.map(row_positions, range(rows))):
-                positions[r] = block
-    else:
-        for r in range(rows):
-            positions[r] = row_positions(r)
+            positions[r, c] = _assemble(data, s, float(t), x, z, integral)
     return Mesh(s_values=s_values, t_values=t_values, positions=positions,
                 singular_row=singular_row, datum=data)
 

@@ -35,6 +35,7 @@ from .errors import NotDiffeo, UnsupportedK, WrongMultiplicity
 from .expr import SmoothFn
 from .jets import (
     Jet,
+    derivative,
     jet_compose,
     jet_divide_by_power,
     jet_eval,
@@ -292,16 +293,10 @@ def canonical_parameter(curve, u0, k, interval, n_samples=512, tol=DEFAULT_TOL):
         raise WrongMultiplicity(f"derivative {n} vanishes at u0 = {u0!r}")
 
     def speed(u):
-        acc = 0.0
-        for f in comps:
-            acc += jet_eval(f, u, 1).coeffs[1] ** 2
-        return math.sqrt(acc)
+        return math.sqrt(sum(derivative(f, u) ** 2 for f in comps))
 
     djets = [j.differentiate() for j in jets]
-    speed_sq_jet = None
-    for dj in djets:
-        term = dj * dj
-        speed_sq_jet = term if speed_sq_jet is None else speed_sq_jet + term
+    speed_sq_jet = sum(dj * dj for dj in djets)
     return canonical_from_speed(speed, speed_sq_jet, u0, k, interval, n_samples)
 
 
@@ -330,8 +325,8 @@ def classify_edge(data: EdgeData, tol=DEFAULT_TOL) -> CuspType:
 
 def profile_curve_jet(data: EdgeData, order=7) -> PlaneCurveJet:
     """Jet at s = 0 of the profile curve (x(s), z(s)) of the datum."""
-    bundle = bour._series_bundle(data, order)
-    return PlaneCurveJet(bundle[3].truncated(order), bundle[4].truncated(order))
+    x_j, z_j, _ = bour._series_bundle(data, order)
+    return PlaneCurveJet(x_j, z_j)
 
 
 def classify_edge_via_profile(data: EdgeData, tol=DEFAULT_TOL) -> CuspType:

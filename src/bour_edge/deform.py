@@ -3,9 +3,9 @@
 Every valid (h, m) with the same U, k and signs yields a surface with the
 same first fundamental form; the pair psi(h, m) = (kappa_nu, kappa_t) moves
 diffeomorphically over the admissible region, with Jacobian determinant
-1 / (m^3 rho(0) U(0)^2). Inverting psi is a damped 2x2 Newton iteration with
-the analytic Jacobian; steps are halved until the radicand at s = 0 stays
-positive, and the solution is re-validated on all of J.
+1 / (m^3 rho(0) U(0)^2). Inverting psi is a damped 2x2 Newton iteration whose
+Jacobian comes from evaluating psi on jets; steps are halved until the
+radicand at s = 0 stays positive, and the solution is re-validated on all of J.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import numpy as np
 
 from . import bour, cusps, invariants
 from ._fmt import fmt17
-from .errors import BourEdgeError, NoConvergence, StarViolation
-from .profile import EdgeData, make_edge_data, rho
+from .errors import BourEdgeError, DomainError, NoConvergence, StarViolation
+from .jets import jet_sqrt, variable_jet
+from .profile import EdgeData, make_edge_data, rho, sqrt_at
 
 METRIC_SAMPLE_COUNT = 50
 METRIC_SEED = 20260809
@@ -109,8 +110,7 @@ def jacobian_fd(data: EdgeData, step=1e-5):
     v0 = data.v_jet.coeffs[0]
 
     def psi(h, m):
-        radicand = m**2 * u0**2 - h**2 - m**4 * u0**2 * v0**2
-        return np.array([math.sqrt(radicand) / (m**2 * u0**2), h / (m**2 * u0**2)])
+        return np.array(invariants.kappa_map(u0, v0, h, m, sqrt_at(0.0)))
 
     h0, m0 = data.h, data.m
     col_h = (psi(h0 + step, m0) - psi(h0 - step, m0)) / (2 * step)
@@ -119,17 +119,14 @@ def jacobian_fd(data: EdgeData, step=1e-5):
 
 
 def _psi_and_jacobian(u0, v0, h, m):
-    radicand = m**2 * u0**2 - h**2 - m**4 * u0**2 * v0**2
-    if radicand <= 0.0:
+    """psi(h, m) and its Jacobian from order-1 jets in h and m; None, None if rho(0)^2 <= 0."""
+    try:
+        by_h = invariants.kappa_map(u0, v0, variable_jet(h, 1), m, jet_sqrt)
+        by_m = invariants.kappa_map(u0, v0, h, variable_jet(m, 1), jet_sqrt)
+    except DomainError:
         return None, None
-    r = math.sqrt(radicand)
-    kn = r / (m**2 * u0**2)
-    kt = h / (m**2 * u0**2)
-    dkn_dh = -h / (r * m**2 * u0**2)
-    dkn_dm = (1.0 - 2.0 * m**2 * v0**2) / (m * r) - 2.0 * r / (m**3 * u0**2)
-    dkt_dh = 1.0 / (m**2 * u0**2)
-    dkt_dm = -2.0 * h / (m**3 * u0**2)
-    return np.array([kn, kt]), np.array([[dkn_dh, dkn_dm], [dkt_dh, dkt_dm]])
+    psi = np.array([j.value for j in by_h])
+    return psi, np.array([[dh.coeffs[1], dm.coeffs[1]] for dh, dm in zip(by_h, by_m)])
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,19 @@ Grammar (EBNF):
     integer  = [ "-" ] , digits ;
 
 The single variable defaults to ``s``. Exponents must be integer literals.
+
+One tree walk, ``evaluate``, computes a tree on a backend: ``FLOAT`` here
+(``SmoothFn.__call__``) or ``jets.JET`` (``jets.jet_eval``, Taylor mode). A
+backend lifts literals and supplies div, pow, sin, cos, exp and sqrt; the
+guards on a value (``check_divisor``, ``check_sqrt``, overflow) are written
+once here, so floats and jets accept and refuse the same points.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ExprSyntaxError
@@ -190,42 +197,80 @@ class _Parser:
         raise ExprSyntaxError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
 
 
-def _evaluate(node, x):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg, x)
-    if isinstance(node, BinOp):
-        a = _evaluate(node.left, x)
-        b = _evaluate(node.right, x)
-        if node.op == "+":
+DIV_FLOOR = 1e-14  # every backend refuses a denominator value below this
+
+
+def check_divisor(value):
+    """Refuse a denominator whose value is ~0."""
+    if abs(value) < DIV_FLOOR:
+        raise DomainError(f"division by ~0 (denominator value {value!r})")
+
+
+def check_sqrt(value, order=0):
+    """Refuse sqrt below 0, and at 0 too when derivatives (order >= 1) are wanted."""
+    if value < 0.0 or (order and value == 0.0):
+        raise DomainError(f"sqrt of {value!r}" if value < 0.0 else "sqrt has no derivative at 0")
+
+
+# + - * and unary minus are the value type's own operators; const(value, x)
+# lifts a literal to the type of x.
+Backend = namedtuple("Backend", "const div pow sin cos exp sqrt")
+
+
+def _float_div(a, b):
+    check_divisor(b)
+    return a / b
+
+
+def _float_pow(base, n):
+    if n < 0:
+        return _float_div(1.0, base ** -n)
+    return base**n
+
+
+def _float_sqrt(v):
+    check_sqrt(v)
+    return math.sqrt(v)
+
+
+FLOAT = Backend(
+    const=lambda value, x: value, div=_float_div, pow=_float_pow,
+    sin=math.sin, cos=math.cos, exp=math.exp, sqrt=_float_sqrt,
+)
+
+
+def _walk(node, x, ops):
+    kind = type(node)
+    if kind is BinOp:
+        a = _walk(node.left, x, ops)
+        b = _walk(node.right, x, ops)
+        op = node.op
+        if op == "+":
             return a + b
-        if node.op == "-":
+        if op == "-":
             return a - b
-        if node.op == "*":
+        if op == "*":
             return a * b
-        if abs(b) < 1e-300:
-            raise DomainError(f"division by zero at x = {x!r}")
-        return a / b
-    if isinstance(node, IntPow):
-        base = _evaluate(node.base, x)
-        if node.exponent < 0 and base == 0.0:
-            raise DomainError(f"zero raised to negative power at x = {x!r}")
-        return base ** node.exponent
-    if isinstance(node, Call):
-        v = _evaluate(node.arg, x)
-        if node.fn == "sin":
-            return math.sin(v)
-        if node.fn == "cos":
-            return math.cos(v)
-        if node.fn == "exp":
-            return math.exp(v)
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v!r} at x = {x!r}")
-        return math.sqrt(v)
+        return ops.div(a, b)
+    if kind is Var:
+        return x
+    if kind is Const:
+        return ops.const(node.value, x)
+    if kind is IntPow:
+        return ops.pow(_walk(node.base, x, ops), node.exponent)
+    if kind is Call:
+        return getattr(ops, node.fn)(_walk(node.arg, x, ops))
+    if kind is Neg:
+        return -_walk(node.arg, x, ops)
     raise TypeError(f"unknown node {node!r}")
+
+
+def evaluate(node, x, ops):
+    """The tree ``node`` at ``x`` on the backend ``ops``; overflow is a DomainError."""
+    try:
+        return _walk(node, x, ops)
+    except OverflowError as exc:
+        raise DomainError(f"overflow in expression evaluation ({exc})") from exc
 
 
 # Precedence levels used by the printer; parentheses are emitted whenever a
@@ -276,15 +321,10 @@ class SmoothFn:
     var: str = field(compare=False, default="s")
 
     def __call__(self, x):
-        return _evaluate(self.root, float(x))
+        return evaluate(self.root, float(x), FLOAT)
 
     def to_source(self):
         return _print(self.root, 0, self.var)
-
-    def jet(self, base, order):
-        from .jets import jet_eval
-
-        return jet_eval(self, base, order)
 
     def _combine(self, other, op):
         if isinstance(other, (int, float)):

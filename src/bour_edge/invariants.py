@@ -25,7 +25,7 @@ import numpy as np
 
 from .bour import psi_jet_at_zero, x_of_s
 from .errors import LadderViolated
-from .profile import EdgeData, rho
+from .profile import EdgeData, rho, sqrt_at, star_radicand
 
 LADDER_TOL = 1e-9
 
@@ -42,14 +42,24 @@ def _ladder_band(data):
     return LADDER_TOL * max(1.0, abs(_u0(data)))
 
 
+def kappa_map(u0, v0, h, m, sqrt):
+    """(kappa_nu, kappa_t) from U(0), V(0), h, m and the backend's sqrt; floats or jets."""
+    scale = m * m * (u0 * u0)
+    return sqrt(star_radicand(u0, v0, h, m)) / scale, h / scale
+
+
+def _kappas(data):
+    return kappa_map(_u0(data), _v0(data), data.h, data.m, sqrt_at(0.0))
+
+
 def kappa_nu(data: EdgeData):
     """Limiting normal curvature along the singular curve (closed form)."""
-    return rho(data, 0.0) / (data.m**2 * _u0(data) ** 2)
+    return _kappas(data)[0]
 
 
 def kappa_t(data: EdgeData):
     """Cusp-directional torsion along the singular curve (closed form)."""
-    return data.h / (data.m**2 * _u0(data) ** 2)
+    return _kappas(data)[1]
 
 
 def _helix_theta(data, t):

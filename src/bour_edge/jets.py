@@ -8,7 +8,9 @@ rather than raw derivatives keeps high-order arithmetic well conditioned
 All recurrences are the standard ones for truncated power series: Cauchy
 products, reciprocal/quotient recursion, sin/cos pair recursion, exp and
 sqrt recursions, term-wise differentiation/integration, composition and
-compositional inversion.
+compositional inversion. ``JET`` is the jet backend of the expression walk in
+``expr``: ``jet_eval`` runs that walk on jets, and the division and sqrt
+guards are the ones ``expr`` defines, applied to the constant term.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotDivisible
-from .expr import BinOp, Call, Const, IntPow, Neg, SmoothFn, Var
+from .expr import DIV_FLOOR, Backend, SmoothFn, check_divisor, check_sqrt, evaluate
 
 MAX_ORDER = 32
-
-_DIV_FLOOR = 1e-14
 
 
 def _check_order(order):
@@ -111,8 +111,11 @@ class Jet:
     def __mul__(self, other):
         a, b = self._pair(other)
         n = a.order
-        out = [0.0] * (n + 1)
-        for i, x in enumerate(a.coeffs):
+        # The i = 0 terms seed the sums, so the value is the plain float product.
+        a0 = a.coeffs[0]
+        out = [a0 * y for y in b.coeffs]
+        for i in range(1, n + 1):
+            x = a.coeffs[i]
             if x == 0.0:
                 continue
             for j in range(n + 1 - i):
@@ -123,8 +126,7 @@ class Jet:
 
     def __truediv__(self, other):
         a, b = self._pair(other)
-        if abs(b.coeffs[0]) < _DIV_FLOOR:
-            raise DomainError(f"jet division by ~0 (denominator constant term {b.coeffs[0]!r})")
+        check_divisor(b.coeffs[0])
         n = a.order
         out = [0.0] * (n + 1)
         for j in range(n + 1):
@@ -144,12 +146,15 @@ class Jet:
             return 1.0 / self ** (-n)
         result = constant_jet(1.0, self.base, self.order)
         factor = self
-        while n:
-            if n & 1:
+        p = n
+        while p:
+            if p & 1:
                 result = result * factor
-            factor = factor * factor
-            n >>= 1
-        return result
+            p >>= 1
+            if p:
+                factor = factor * factor
+        # The value is the float power, as a float evaluation computes it.
+        return Jet(self.base, (self.coeffs[0] ** n,) + result.coeffs[1:])
 
 
 def constant_jet(value, base=0.0, order=0):
@@ -182,14 +187,6 @@ def jet_sin_cos(f):
     return Jet(f.base, tuple(s)), Jet(f.base, tuple(c))
 
 
-def jet_sin(f):
-    return jet_sin_cos(f)[0]
-
-
-def jet_cos(f):
-    return jet_sin_cos(f)[1]
-
-
 def jet_exp(f):
     n = f.order
     h = [0.0] * (n + 1)
@@ -203,8 +200,7 @@ def jet_exp(f):
 
 
 def jet_sqrt(f):
-    if f.coeffs[0] <= 0.0:
-        raise DomainError(f"sqrt of non-positive jet value {f.coeffs[0]!r}")
+    check_sqrt(f.coeffs[0], f.order)
     n = f.order
     h = [0.0] * (n + 1)
     h[0] = math.sqrt(f.coeffs[0])
@@ -253,7 +249,7 @@ def jet_invert(f):
     so each residual coefficient determines the next b_m.
     """
     n = f.order
-    if n < 1 or abs(f.coeffs[1]) < _DIV_FLOOR:
+    if n < 1 or abs(f.coeffs[1]) < DIV_FLOOR:
         raise DomainError("cannot invert a jet with vanishing first coefficient")
     y0 = f.coeffs[0]
     b = [f.base, 1.0 / f.coeffs[1]] + [0.0] * (n - 1)
@@ -286,38 +282,20 @@ def jet_divide_by_power(j, k, tol=None):
     return Jet(0.0, retained)
 
 
-def _eval_node(node, var_jet):
-    if isinstance(node, Const):
-        return constant_jet(node.value, var_jet.base, var_jet.order)
-    if isinstance(node, Var):
-        return var_jet
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, var_jet)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, var_jet)
-        b = _eval_node(node.right, var_jet)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, IntPow):
-        return _eval_node(node.base, var_jet) ** node.exponent
-    if isinstance(node, Call):
-        arg = _eval_node(node.arg, var_jet)
-        if node.fn == "sin":
-            return jet_sin(arg)
-        if node.fn == "cos":
-            return jet_cos(arg)
-        if node.fn == "exp":
-            return jet_exp(arg)
-        return jet_sqrt(arg)
-    raise TypeError(f"unknown node {node!r}")
+JET = Backend(
+    const=lambda value, x: constant_jet(value, x.base, x.order),
+    div=Jet.__truediv__, pow=Jet.__pow__,
+    sin=lambda f: jet_sin_cos(f)[0], cos=lambda f: jet_sin_cos(f)[1],
+    exp=jet_exp, sqrt=jet_sqrt,
+)
 
 
 def jet_eval(f: SmoothFn, base, order) -> Jet:
     """Jet of the expression ``f`` at ``base``, to the given order."""
     _check_order(order)
-    return _eval_node(f.root, variable_jet(float(base), order))
+    return evaluate(f.root, variable_jet(float(base), order), JET)
+
+
+def derivative(f: SmoothFn, x):
+    """f'(x), read off the first-order jet of ``f`` at ``x``."""
+    return jet_eval(f, x, order=1).coeffs[1]

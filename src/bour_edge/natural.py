@@ -29,8 +29,8 @@ from scipy.interpolate import PchipInterpolator
 from . import bour
 from .cusps import CanonicalParameter, canonical_from_speed
 from .expr import SmoothFn
-from .jets import Jet, jet_compose, jet_eval, jet_sqrt, variable_jet
-from .profile import EdgeData, rho
+from .jets import Jet, derivative, jet_compose, jet_eval, jet_sqrt
+from .profile import EdgeData
 from .quadrature import integrate_cumulative
 
 DEFAULT_SAMPLES = 256
@@ -53,10 +53,10 @@ class SmoothProfile:
         return self.z(u)
 
     def x_dot(self, u):
-        return jet_eval(self.x, u, 1).coeffs[1]
+        return derivative(self.x, u)
 
     def z_dot(self, u):
-        return jet_eval(self.z, u, 1).coeffs[1]
+        return derivative(self.z, u)
 
     def x_jet(self, u0, order):
         return jet_eval(self.x, u0, order)
@@ -69,7 +69,7 @@ class BourProfile:
     """Profile (x(s), z(s)) read back from a Bour datum.
 
     x is closed form; z values need one quadrature each, while all
-    derivatives and jets come from closed forms on the integrand.
+    derivatives and jets come from bour.profile_rates, on floats or jets.
     """
 
     def __init__(self, data: EdgeData, tol=QUAD_TOL):
@@ -83,32 +83,19 @@ class BourProfile:
         return bour.z_of_s(self.data, s, self.tol)
 
     def x_dot(self, s):
-        d = self.data
-        u = d.u_value(s)
-        up = jet_eval(d.U, s, 1).coeffs[1]
-        return d.m**2 * u * up / bour.x_of_s(d, s)
+        return bour._rates(self.data, s)[1]
 
     def z_dot(self, s):
         d = self.data
-        u = d.u_value(s)
-        return d.eps2 * d.m * s**d.k * u * rho(d, s) / bour.x_radicand(d, s)
+        return d.eps2 * d.m * bour._rates(d, s)[2]
 
     def x_jet(self, u0, order):
-        d = self.data
-        u_j = jet_eval(d.U, u0, order)
-        return d.eps0 * jet_sqrt(d.m**2 * (u_j * u_j) - d.h**2)
+        return bour._jets_at(self.data, u0, order)[0]
 
     def z_jet(self, u0, order):
         d = self.data
-        if u0 == 0.0:
-            return bour._series_bundle(d, order)[4].truncated(order)
-        u_j = jet_eval(d.U, u0, order + 1)
-        v_j = u_j.differentiate() / (variable_jet(u0, order) ** d.k)
-        u_j = u_j.truncated(order)
-        denom = d.m**2 * (u_j * u_j) - d.h**2
-        rho_j = jet_sqrt(denom - d.m**4 * (u_j * u_j) * (v_j * v_j))
-        zp = d.eps2 * d.m * ((variable_jet(u0, order) ** d.k) * u_j * rho_j / denom)
-        return zp.antiderivative(self.z_value(u0)).truncated(order)
+        zi_j = bour._jets_at(d, u0, order)[2]
+        return (d.eps2 * d.m * zi_j).antiderivative(self.z_value(u0)).truncated(order)
 
 
 class ReparamProfile:
@@ -187,6 +174,16 @@ def _golden_minimize(g, a, b, width=1e-12):
 
 def _speed_sq(profile, u):
     return profile.x_dot(u) ** 2 + profile.z_dot(u) ** 2
+
+
+def _sheared_speed_sq(x, xd, zd, h):
+    """|f~_u|^2 = xdot^2 + zdot^2 x^2 / (x^2 + h^2); floats or jets."""
+    x_sq = x * x
+    return xd * xd + zd * zd * x_sq / (x_sq + h * h)
+
+
+def _sheared_speed(profile, h, u):
+    return math.sqrt(_sheared_speed_sq(profile.x_value(u), profile.x_dot(u), profile.z_dot(u), h))
 
 
 def singular_set(inp: HelicoidalInput, n_samples=DEFAULT_SAMPLES):
@@ -318,21 +315,13 @@ def _natural_coordinates(profile, h, interval, u0, k, n_tab=DEFAULT_TABULATION, 
         phi_table = cumulative - at_u0
     phi_of_u = PchipInterpolator(phi_nodes, phi_table)
 
-    def sheared_speed(u):
-        x = profile.x_value(u)
-        xd = profile.x_dot(u)
-        zd = profile.z_dot(u)
-        return math.sqrt(xd**2 + zd**2 * x**2 / (x**2 + h**2))
-
     order = 2 * k + 12
     xj = profile.x_jet(u0, order + 1)
     zj = profile.z_jet(u0, order + 1)
-    xd_j = xj.differentiate()
-    zd_j = zj.differentiate()
-    x_sq = (xj * xj).truncated(order)
-    speed_sq_jet = xd_j * xd_j + zd_j * zd_j * x_sq / (x_sq + h**2)
+    speed_sq_jet = _sheared_speed_sq(xj, xj.differentiate(), zj.differentiate(), h)
 
-    canonical = canonical_from_speed(sheared_speed, speed_sq_jet, u0, k, interval, n_tab)
+    canonical = canonical_from_speed(lambda u: _sheared_speed(profile, h, u), speed_sq_jet,
+                                     u0, k, interval, n_tab)
 
     x_values = np.array([profile.x_value(float(u)) for u in canonical.u_table])
     U_table = np.sqrt(x_values**2 + h**2)
@@ -398,13 +387,7 @@ def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=Q
         g_rec = (U_rec / m_hat) ** 2
         sup_metric = max(sup_metric, abs(g_rec - data.u_value(s) ** 2))
         if abs(u) > 1e-3:
-            def _sheared(uu):
-                x = profile.x_value(uu)
-                return math.sqrt(
-                    profile.x_dot(uu) ** 2
-                    + profile.z_dot(uu) ** 2 * x**2 / (x**2 + data.h**2)
-                )
-            e_rec = (_sheared(u) / float(dsdu_interp(u))) ** 2
+            e_rec = (_sheared_speed(profile, data.h, u) / float(dsdu_interp(u))) ** 2
             sup_metric = max(sup_metric, abs(e_rec - s ** (2 * data.k)))
     return RoundtripReport(sup_error_U=sup_u, sup_error_metric=sup_metric, m_hat=m_hat, chart=chart)
 

@@ -22,7 +22,7 @@ from .errors import (
     StarViolation,
 )
 from .expr import SmoothFn, parse_expr
-from .jets import Jet, jet_divide_by_power, jet_eval
+from .jets import Jet, derivative, jet_divide_by_power, jet_eval
 
 # Inside this radius V is evaluated from its jet at 0; the direct quotient
 # U'(s)/s^k loses about k digits there.
@@ -60,8 +60,7 @@ class EdgeData:
     def v_value(self, s):
         if abs(s) < V_SWITCH_RADIUS:
             return self.v_jet(s)
-        up = jet_eval(self.U, s, 1).coeffs[1]
-        return up / s**self.k
+        return derivative(self.U, s) / s**self.k
 
     def replace(self, **kwargs):
         """A sibling datum sharing U, k, J; signs/parameters overridden."""
@@ -95,21 +94,33 @@ class ValidationReport:
     failures: tuple
 
 
+def x_squared(u, h, m):
+    """m^2 U^2 - h^2, the squared profile radius, from U; floats or jets."""
+    return m * m * (u * u) - h * h
+
+
+def star_radicand(u, v, h, m):
+    """rho^2 = m^2 U^2 - h^2 - m^4 U^2 V^2 from U and V; floats or jets."""
+    return x_squared(u, h, m) - m**4 * (u * u) * (v * v)
+
+
+def sqrt_at(s):
+    """Float sqrt of Bour quantities at s; NegativeRadicand unless the radicand is > 0."""
+    def sqrt(r):
+        if not r > 0.0:
+            raise NegativeRadicand(f"radicand {r!r} is not positive at s = {s!r}",
+                                   location=s, value=r)
+        return math.sqrt(r)
+    return sqrt
+
+
 def radicand(data: EdgeData, s):
-    u = data.u_value(s)
-    v = data.v_value(s)
-    m2u2 = data.m**2 * u**2
-    return m2u2 - data.h**2 - data.m**2 * m2u2 * v**2
+    return star_radicand(data.u_value(s), data.v_value(s), data.h, data.m)
 
 
 def rho(data: EdgeData, s):
     """sqrt(m^2 U^2 - h^2 - m^4 U^2 V^2) at s; positive on a valid datum."""
-    r = radicand(data, s)
-    if r <= 0.0:
-        raise NegativeRadicand(
-            f"admissibility radicand is {r!r} at s = {s!r}", location=s, value=r
-        )
-    return math.sqrt(r)
+    return sqrt_at(s)(radicand(data, s))
 
 
 def _zero_band(data_u_jet, tol=None):
@@ -132,7 +143,7 @@ def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
     failures = []
     rho_min = min(values)
     for s, val in zip(grid, values):
-        if val <= 0.0:
+        if not val > 0.0:
             name = "rho_at_zero" if s == 0.0 else "rho_positive"
             failures.append((name, s, val))
     for (s0, v0), (s1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
@@ -164,6 +175,9 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
         U = parse_expr(U)
     m = float(m)
     h = float(h)
+    lo, hi = float(J[0]), float(J[1])
+    if not all(math.isfinite(v) for v in (h, m, lo, hi)):
+        raise ValueError(f"h, m and J must be finite, got h={h!r}, m={m!r}, J={J!r}")
     if m <= 0.0:
         raise ValueError(f"m must be positive, got {m!r}")
     if k < 1:
@@ -171,18 +185,17 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
     for name, eps in (("eps0", eps0), ("eps1", eps1), ("eps2", eps2)):
         if eps not in (+1, -1):
             raise ValueError(f"{name} must be +1 or -1, got {eps!r}")
-    lo, hi = float(J[0]), float(J[1])
     if not (lo <= 0.0 <= hi) or lo >= hi:
         raise ValueError(f"J must be an interval containing 0, got {J!r}")
 
     u_jet = jet_eval(U, 0.0, V_JET_ORDER + k + 1)
     u0 = u_jet.coeffs[0]
-    if u0 <= 0.0:
+    if not u0 > 0.0:
         raise NonPositiveU(f"U(0) = {u0!r} is not positive")
     band = _zero_band(u_jet, zero_tol)
     for i in range(1, k + 1):
         di = u_jet.derivative_value(i)
-        if abs(di) > band:
+        if not abs(di) <= band:
             raise NonVanishingLowDerivative(
                 f"U^({i})(0) = {di!r} exceeds the zero tolerance {band!r}"
             )
@@ -194,7 +207,7 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     for s in grid:
         u = U(s)
-        if u <= 0.0:
+        if not u > 0.0:
             raise NonPositiveU(f"U({s!r}) = {u!r} is not positive on J")
 
     report = check_star(data, samples)

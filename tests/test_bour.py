@@ -263,13 +263,6 @@ def test_mesh_range_validation(edge_k1):
         bour.sample_mesh(edge_k1, (0.0, 0.5), (0.0, 1.0), rows=1, cols=4)
 
 
-def test_mesh_thread_determinism(edge_k1, monkeypatch):
-    mesh1 = bour.sample_mesh(edge_k1, (-0.5, 0.5), (0.0, 2.0), rows=7, cols=6)
-    monkeypatch.setenv("BOUR_EDGE_THREADS", "4")
-    mesh4 = bour.sample_mesh(edge_k1, (-0.5, 0.5), (0.0, 2.0), rows=7, cols=6)
-    assert np.array_equal(mesh1.positions, mesh4.positions)
-
-
 def test_form_csv_layout(edge_k1, tmp_path):
     path = tmp_path / "forms.csv"
     bour.write_form_csv(edge_k1, [0.0, 0.3], [0.0, 1.0], path)

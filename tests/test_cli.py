@@ -171,3 +171,20 @@ def test_deterministic_output(capsys, datum_file, tmp_path):
         code, out, _ = run_cli(capsys, "invariants", "--datum", datum_file)
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_validate_overflow_writes_error_document(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "validate", "--U", "exp(2000*s^2)", "--h", "0", "--m", "1",
+                           "--eps0", "1", "--eps1", "1", "--eps2", "1", "--k", "1",
+                           "--J", "-0.8", "0.8", "--out", str(tmp_path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["star_ok"] is False
+    assert doc["error"] == "DomainError"
+    assert (tmp_path / "validation.json").exists()
+
+
+def test_validate_non_finite_pitch_is_usage_error(capsys, datum_file):
+    code, out, _ = run_cli(capsys, "validate", "--datum", datum_file, "--h", "nan")
+    assert code == 2
+    assert out == ""

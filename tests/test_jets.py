@@ -161,3 +161,40 @@ def test_variable_jet_layout():
     v = variable_jet(1.5, 3)
     assert v.coeffs == (1.5, 1.0, 0.0, 0.0)
     assert isinstance(v, Jet)
+
+
+def _assert_order_zero_is_float(f, x):
+    """The order-0 jet value is the float value bit for bit, or both raise."""
+    try:
+        want = f(x)
+    except DomainError:
+        with pytest.raises(DomainError):
+            jet_eval(f, x, 0)
+    else:
+        assert jet_eval(f, x, 0).value.hex() == want.hex()
+
+
+@pytest.mark.parametrize("text, x", [("1/s", 1e-200), ("sqrt(s)", 0.0)])
+def test_order_zero_jet_guards_match_float(text, x):
+    _assert_order_zero_is_float(parse_expr(text), x)
+
+
+def test_sqrt_at_zero_has_no_derivative():
+    with pytest.raises(DomainError):
+        jet_eval(parse_expr("sqrt(s)"), 0.0, 1)
+
+
+@pytest.mark.parametrize("text, x", [("exp(s)", 800.0), ("(1e200*s)^2", 1.0)])
+def test_overflow_is_a_domain_error(text, x):
+    f = parse_expr(text)
+    with pytest.raises(DomainError):
+        f(x)
+    with pytest.raises(DomainError):
+        jet_eval(f, x, 2)
+
+
+@given(fa=_expr_strategy, fb=_expr_strategy, op=st.sampled_from("+-*/"),
+       base=st.floats(min_value=-1.2, max_value=1.2))
+@settings(max_examples=200, deadline=None)
+def test_order_zero_jet_is_float_evaluation(fa, fb, op, base):
+    _assert_order_zero_is_float(parse_expr(f"({fa}) {op} ({fb})"), base)

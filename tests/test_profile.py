@@ -160,3 +160,38 @@ def test_json_round_trip(edge_k1):
 def test_n_is_k_plus_one(edge_k1, edge_k2):
     assert edge_k1.n == 2
     assert edge_k2.n == 3
+
+
+@pytest.mark.parametrize("field, value", [("h", math.nan), ("m", math.nan), ("m", math.inf)])
+def test_non_finite_parameters_rejected(field, value):
+    params = dict(h=0.2, m=1.0)
+    params[field] = value
+    with pytest.raises(ValueError):
+        make_edge_data("1 - s*cos(s) + sin(s)", eps0=1, eps1=1, eps2=-1, k=1,
+                       J=(-0.8, 0.8), **params)
+
+
+def test_nan_valued_U_rejected():
+    # U(0) = inf - inf + 1 = nan
+    with pytest.raises(NonPositiveU):
+        make_edge_data("1e308*(2 + s^2) - 1e308*(2 + s^2) + 1", h=0.0, m=1.0,
+                       eps0=1, eps1=1, eps2=1, k=1, J=(-0.8, 0.8))
+
+
+def test_nan_inside_J_rejected():
+    # U(0) = 1, but 0 * inf = nan wherever s^2 * 1e600 overflows
+    with pytest.raises(NonPositiveU):
+        make_edge_data("1 + 0*(1e300*s^2*1e300)", h=0.0, m=1.0,
+                       eps0=1, eps1=1, eps2=1, k=1, J=(-0.8, 0.8))
+
+
+def test_nan_zero_tolerance_rejects():
+    with pytest.raises(NonVanishingLowDerivative):
+        make_edge_data("1 - s*cos(s) + sin(s)", h=0.2, m=1.0, eps0=1, eps1=1,
+                       eps2=-1, k=1, J=(-0.8, 0.8), zero_tol=math.nan)
+
+
+def test_check_star_counts_nan_radicand_as_failure(edge_k1):
+    report = check_star(edge_k1.replace(h=math.nan), 64)
+    assert not report.star_ok
+    assert any(name == "rho_at_zero" for name, _, _ in report.failures)
