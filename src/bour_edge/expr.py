@@ -16,8 +16,9 @@ The single variable defaults to ``s``. Exponents must be integer literals.
 One tree walk, ``evaluate``, computes a tree on a backend: ``FLOAT`` here
 (``SmoothFn.__call__``) or ``jets.JET`` (``jets.jet_eval``, Taylor mode). A
 backend lifts literals and supplies div, pow, sin, cos, exp and sqrt; the
-guards on a value (``check_divisor``, ``check_sqrt``, overflow) are written
-once here, so floats and jets accept and refuse the same points.
+guards on a value (``check_divisor``, ``check_sqrt``, ``check_angle``,
+overflow) are written once here, so floats and jets accept and refuse the
+same points.
 """
 
 from __future__ import annotations
@@ -212,6 +213,13 @@ def check_sqrt(value, order=0):
         raise DomainError(f"sqrt of {value!r}" if value < 0.0 else "sqrt has no derivative at 0")
 
 
+def check_angle(value):
+    """Refuse sin and cos of a non-finite value (inf or NaN); returns the value."""
+    if not math.isfinite(value):
+        raise DomainError(f"sin/cos of {value!r}")
+    return value
+
+
 # + - * and unary minus are the value type's own operators; const(value, x)
 # lifts a literal to the type of x.
 Backend = namedtuple("Backend", "const div pow sin cos exp sqrt")
@@ -235,7 +243,8 @@ def _float_sqrt(v):
 
 FLOAT = Backend(
     const=lambda value, x: value, div=_float_div, pow=_float_pow,
-    sin=math.sin, cos=math.cos, exp=math.exp, sqrt=_float_sqrt,
+    sin=lambda v: math.sin(check_angle(v)), cos=lambda v: math.cos(check_angle(v)),
+    exp=math.exp, sqrt=_float_sqrt,
 )
 
 

@@ -9,8 +9,8 @@ All recurrences are the standard ones for truncated power series: Cauchy
 products, reciprocal/quotient recursion, sin/cos pair recursion, exp and
 sqrt recursions, term-wise differentiation/integration, composition and
 compositional inversion. ``JET`` is the jet backend of the expression walk in
-``expr``: ``jet_eval`` runs that walk on jets, and the division and sqrt
-guards are the ones ``expr`` defines, applied to the constant term.
+``expr``: ``jet_eval`` runs that walk on jets, and the division, sqrt and
+sin/cos guards are the ones ``expr`` defines, applied to the constant term.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotDivisible
-from .expr import DIV_FLOOR, Backend, SmoothFn, check_divisor, check_sqrt, evaluate
+from .expr import DIV_FLOOR, Backend, SmoothFn, check_angle, check_divisor, check_sqrt, evaluate
 
 MAX_ORDER = 32
 
@@ -171,6 +171,7 @@ def variable_jet(base, order):
 
 def jet_sin_cos(f):
     """Jets of (sin f, cos f)."""
+    check_angle(f.coeffs[0])
     n = f.order
     s = [0.0] * (n + 1)
     c = [0.0] * (n + 1)

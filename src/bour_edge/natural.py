@@ -16,6 +16,12 @@ in which the metric is s^(2k) ds^2 + U(s)^2 dt^2:
 
 ``roundtrip`` drives this pipeline on a profile read back from a Bour datum
 and compares the recovered metric function with the original U.
+
+A profile is read through three methods: ``x_value(u)``, for the U table,
+which needs x alone; ``rates(u) -> (x, xdot, zdot)``; and
+``jets(u0, order) -> (x jet, z jet)``. The speeds, the shear rate and the
+genericity check read each point once, with one call, so a Bour profile
+evaluates bour.profile_rates once per point.
 """
 
 from __future__ import annotations
@@ -49,27 +55,19 @@ class SmoothProfile:
     def x_value(self, u):
         return self.x(u)
 
-    def z_value(self, u):
-        return self.z(u)
+    def rates(self, u):
+        xj = jet_eval(self.x, u, 1)
+        return xj.value, xj.coeffs[1], derivative(self.z, u)
 
-    def x_dot(self, u):
-        return derivative(self.x, u)
-
-    def z_dot(self, u):
-        return derivative(self.z, u)
-
-    def x_jet(self, u0, order):
-        return jet_eval(self.x, u0, order)
-
-    def z_jet(self, u0, order):
-        return jet_eval(self.z, u0, order)
+    def jets(self, u0, order):
+        return jet_eval(self.x, u0, order), jet_eval(self.z, u0, order)
 
 
 class BourProfile:
     """Profile (x(s), z(s)) read back from a Bour datum.
 
-    x is closed form; z values need one quadrature each, while all
-    derivatives and jets come from bour.profile_rates, on floats or jets.
+    x is closed form and z needs a quadrature, but rates and jets come from
+    one bour.profile_rates call each, on floats or on jets.
     """
 
     def __init__(self, data: EdgeData, tol=QUAD_TOL):
@@ -79,23 +77,16 @@ class BourProfile:
     def x_value(self, s):
         return bour.x_of_s(self.data, s)
 
-    def z_value(self, s):
-        return bour.z_of_s(self.data, s, self.tol)
-
-    def x_dot(self, s):
-        return bour._rates(self.data, s)[1]
-
-    def z_dot(self, s):
+    def rates(self, s):
         d = self.data
-        return d.eps2 * d.m * bour._rates(d, s)[2]
+        x, xd, zi, _ = bour._rates(d, s)
+        return x, xd, d.eps2 * d.m * zi
 
-    def x_jet(self, u0, order):
-        return bour._jets_at(self.data, u0, order)[0]
-
-    def z_jet(self, u0, order):
+    def jets(self, u0, order):
         d = self.data
-        zi_j = bour._jets_at(d, u0, order)[2]
-        return (d.eps2 * d.m * zi_j).antiderivative(self.z_value(u0)).truncated(order)
+        x_j, _, zi_j, _ = bour._jets_at(d, u0, order)
+        z0 = bour.z_of_s(d, u0, self.tol)
+        return x_j, (d.eps2 * d.m * zi_j).antiderivative(z0).truncated(order)
 
 
 class ReparamProfile:
@@ -105,33 +96,20 @@ class ReparamProfile:
         self.base = base
         self.canonical = canonical
 
-    def _u(self, sigma):
-        return float(self.canonical.u_of_s(sigma))
-
     def x_value(self, sigma):
-        return self.base.x_value(self._u(sigma))
+        return self.base.x_value(float(self.canonical.u_of_s(sigma)))
 
-    def z_value(self, sigma):
-        return self.base.z_value(self._u(sigma))
+    def rates(self, sigma):
+        u = float(self.canonical.u_of_s(sigma))
+        du = 1.0 / float(self.canonical.dsdu_of_u(u))
+        x, xd, zd = self.base.rates(u)
+        return x, xd * du, zd * du
 
-    def _du(self, sigma):
-        return 1.0 / float(self.canonical.dsdu_of_u(self._u(sigma)))
-
-    def x_dot(self, sigma):
-        return self.base.x_dot(self._u(sigma)) * self._du(sigma)
-
-    def z_dot(self, sigma):
-        return self.base.z_dot(self._u(sigma)) * self._du(sigma)
-
-    def x_jet(self, u0, order):
+    def jets(self, u0, order):
         if u0 != 0.0:
             raise ValueError("reparametrized profiles carry jets at 0 only")
-        return jet_compose(self.base.x_jet(self.canonical.u0, order), self.canonical.u_jet.truncated(order))
-
-    def z_jet(self, u0, order):
-        if u0 != 0.0:
-            raise ValueError("reparametrized profiles carry jets at 0 only")
-        return jet_compose(self.base.z_jet(self.canonical.u0, order), self.canonical.u_jet.truncated(order))
+        u_j = self.canonical.u_jet.truncated(order)
+        return tuple(jet_compose(j, u_j) for j in self.base.jets(self.canonical.u0, order))
 
 
 @dataclass(frozen=True)
@@ -173,7 +151,8 @@ def _golden_minimize(g, a, b, width=1e-12):
 
 
 def _speed_sq(profile, u):
-    return profile.x_dot(u) ** 2 + profile.z_dot(u) ** 2
+    _, xd, zd = profile.rates(u)
+    return xd ** 2 + zd ** 2
 
 
 def _sheared_speed_sq(x, xd, zd, h):
@@ -183,7 +162,7 @@ def _sheared_speed_sq(x, xd, zd, h):
 
 
 def _sheared_speed(profile, h, u):
-    return math.sqrt(_sheared_speed_sq(profile.x_value(u), profile.x_dot(u), profile.z_dot(u), h))
+    return math.sqrt(_sheared_speed_sq(*profile.rates(u), h))
 
 
 def singular_set(inp: HelicoidalInput, n_samples=DEFAULT_SAMPLES):
@@ -233,8 +212,7 @@ def check_generic(inp: HelicoidalInput, u0, k, tol=DEFAULT_TOL):
 
 
 def _check_generic(profile, u0, k, tol=DEFAULT_TOL):
-    xj = profile.x_jet(u0, k + 1)
-    zj = profile.z_jet(u0, k + 1)
+    xj, zj = profile.jets(u0, k + 1)
     dx = [xj.derivative_value(i) for i in range(k + 2)]
     dz = [zj.derivative_value(i) for i in range(k + 2)]
     scale = max(max(abs(v) for v in dx), max(abs(v) for v in dz), 1e-300)
@@ -308,7 +286,8 @@ def _natural_coordinates(profile, h, interval, u0, k, n_tab=DEFAULT_TABULATION, 
         phi_table = np.zeros_like(phi_nodes)
     else:
         def phi_integrand(u):
-            return h * profile.z_dot(u) / (profile.x_value(u) ** 2 + h**2)
+            x, _, zd = profile.rates(u)
+            return h * zd / (x**2 + h**2)
 
         cumulative = np.array(integrate_cumulative(phi_integrand, [float(v) for v in phi_nodes], quad_tol))
         at_u0 = float(cumulative[int(np.argmin(np.abs(phi_nodes - u0)))])
@@ -316,8 +295,7 @@ def _natural_coordinates(profile, h, interval, u0, k, n_tab=DEFAULT_TABULATION, 
     phi_of_u = PchipInterpolator(phi_nodes, phi_table)
 
     order = 2 * k + 12
-    xj = profile.x_jet(u0, order + 1)
-    zj = profile.z_jet(u0, order + 1)
+    xj, zj = profile.jets(u0, order + 1)
     speed_sq_jet = _sheared_speed_sq(xj, xj.differentiate(), zj.differentiate(), h)
 
     canonical = canonical_from_speed(lambda u: _sheared_speed(profile, h, u), speed_sq_jet,

@@ -184,6 +184,16 @@ def test_validate_overflow_writes_error_document(capsys, tmp_path):
     assert (tmp_path / "validation.json").exists()
 
 
+def test_validate_non_finite_angle_writes_error_document(capsys):
+    code, out, _ = run_cli(capsys, "validate", "--U", "1 + 0*sin(1e200*1e200)", "--h", "0",
+                           "--m", "1", "--eps0", "1", "--eps1", "1", "--eps2", "1", "--k", "1",
+                           "--J", "-0.8", "0.8")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["star_ok"] is False
+    assert doc["error"] == "DomainError"
+
+
 def test_validate_non_finite_pitch_is_usage_error(capsys, datum_file):
     code, out, _ = run_cli(capsys, "validate", "--datum", datum_file, "--h", "nan")
     assert code == 2

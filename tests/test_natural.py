@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bour_edge import natural
+from bour_edge import bour, natural
 from bour_edge.expr import parse_expr
 from bour_edge.profile import make_edge_data
 
@@ -37,6 +37,32 @@ def test_singular_set_of_bour_profile(edge_k1):
     roots = natural._singular_set(profile, edge_k1.J)
     assert len(roots) == 1
     assert abs(roots[0]) < 1e-9
+
+
+@pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
+def test_bour_profile_rates_match_differences(request, fixture_name):
+    d = request.getfixturevalue(fixture_name)
+    profile = natural.BourProfile(d)
+    step = 1e-4
+    for s in (-0.55, -0.2, 0.15, 0.5):
+        x, xd, zd = profile.rates(s)
+        assert x == bour.x_of_s(d, s)
+        xd_fd = (bour.x_of_s(d, s + step) - bour.x_of_s(d, s - step)) / (2 * step)
+        zd_fd = (bour.z_of_s(d, s + step) - bour.z_of_s(d, s - step)) / (2 * step)
+        assert xd == pytest.approx(xd_fd, abs=2e-8)
+        assert zd == pytest.approx(zd_fd, abs=2e-8)
+
+
+@pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
+def test_bour_profile_jets_off_zero(request, fixture_name):
+    d = request.getfixturevalue(fixture_name)
+    profile = natural.BourProfile(d)
+    xj, zj = profile.jets(0.3, 4)
+    assert xj.order == zj.order == 4
+    assert (xj.value, zj.value) == (bour.x_of_s(d, 0.3), bour.z_of_s(d, 0.3))
+    _, xd, zd = profile.rates(0.3)
+    assert xj.coeffs[1] == pytest.approx(xd, rel=1e-12)
+    assert zj.coeffs[1] == pytest.approx(zd, rel=1e-12)
 
 
 def test_axis_crossing_rejected():
@@ -92,8 +118,7 @@ def test_shear_orthogonality():
     for _ in range(50):
         u = float(rng.uniform(-1.0, 1.0))
         v = float(rng.uniform(0.0, 6.0))
-        x = profile.x_value(u)
-        xd, zd = profile.x_dot(u), profile.z_dot(u)
+        x, xd, zd = profile.rates(u)
         phi_prime = inp.h * zd / (x**2 + inp.h**2)
         f_u = np.array([xd * math.cos(v), xd * math.sin(v), zd])
         f_v = np.array([-x * math.sin(v), x * math.cos(v), inp.h])
@@ -108,8 +133,8 @@ def test_phi_table_matches_direct_quadrature():
     profile = inp.profile
 
     def integrand(u):
-        x = profile.x_value(u)
-        return inp.h * profile.z_dot(u) / (x**2 + inp.h**2)
+        x, _, zd = profile.rates(u)
+        return inp.h * zd / (x**2 + inp.h**2)
 
     from bour_edge.quadrature import integrate
     for u, phi in zip(chart.phi_nodes[::16], chart.phi_table[::16]):
@@ -131,9 +156,8 @@ def test_generic_profile_chart_metric_reproduction():
         u, s = float(u), float(s)
         if abs(u) < 2e-3 or abs(u) > 0.45:
             continue
-        x = profile.x_value(u)
-        speed = math.sqrt(profile.x_dot(u) ** 2
-                          + profile.z_dot(u) ** 2 * x**2 / (x**2 + inp.h**2))
+        x, xd, zd = profile.rates(u)
+        speed = math.sqrt(xd ** 2 + zd ** 2 * x**2 / (x**2 + inp.h**2))
         e_rec = (speed / float(chart.canonical.dsdu_of_u(u))) ** 2
         assert abs(e_rec - s ** 2) < 1e-6
         g_rec = float(chart.U_of_s(s)) ** 2
@@ -187,9 +211,8 @@ def test_chart_metric_sampling(edge_k1):
         u, s = float(u), float(s)
         if abs(u) < 1e-2 or abs(u) > 0.7:
             continue
-        x = profile.x_value(u)
-        speed = math.sqrt(profile.x_dot(u) ** 2
-                          + profile.z_dot(u) ** 2 * x**2 / (x**2 + edge_k1.h**2))
+        x, xd, zd = profile.rates(u)
+        speed = math.sqrt(xd ** 2 + zd ** 2 * x**2 / (x**2 + edge_k1.h**2))
         e_rec = (speed / float(dsdu(u))) ** 2
         assert abs(e_rec - s ** (2 * edge_k1.k)) < 1e-6
         assert abs((U_rec / report.m_hat) ** 2 - edge_k1.u_value(s) ** 2) < 1e-6
