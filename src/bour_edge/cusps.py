@@ -35,7 +35,6 @@ from .errors import NotDiffeo, UnsupportedK, WrongMultiplicity
 from .expr import SmoothFn
 from .jets import (
     Jet,
-    derivative,
     jet_compose,
     jet_divide_by_power,
     jet_eval,
@@ -293,7 +292,7 @@ def canonical_parameter(curve, u0, k, interval, n_samples=512, tol=DEFAULT_TOL):
         raise WrongMultiplicity(f"derivative {n} vanishes at u0 = {u0!r}")
 
     def speed(u):
-        return math.sqrt(sum(derivative(f, u) ** 2 for f in comps))
+        return math.sqrt(sum(f.prime(u) ** 2 for f in comps))
 
     djets = [j.differentiate() for j in jets]
     speed_sq_jet = sum(dj * dj for dj in djets)

@@ -19,6 +19,12 @@ backend lifts literals and supplies div, pow, sin, cos, exp and sqrt; the
 guards on a value (``check_divisor``, ``check_sqrt``, ``check_angle``,
 overflow) are written once here, so floats and jets accept and refuse the
 same points.
+
+First derivatives do not need jets. ``differentiate`` builds the derivative
+tree of a tree once, with the usual rules, and ``SmoothFn.prime`` caches it
+as a ``SmoothFn``, so U'(s) is a float walk like U(s). Its divisors are those
+an order-1 jet checks, so ``f.prime(x)`` refuses exactly where the order-1
+jet of ``f`` at ``x`` does. Jets serve order >= 2 and Taylor series.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, ExprSyntaxError
 
@@ -207,10 +214,10 @@ def check_divisor(value):
         raise DomainError(f"division by ~0 (denominator value {value!r})")
 
 
-def check_sqrt(value, order=0):
-    """Refuse sqrt below 0, and at 0 too when derivatives (order >= 1) are wanted."""
-    if value < 0.0 or (order and value == 0.0):
-        raise DomainError(f"sqrt of {value!r}" if value < 0.0 else "sqrt has no derivative at 0")
+def check_sqrt(value):
+    """Refuse sqrt below 0; a derivative of sqrt also floors its divisor 2 sqrt."""
+    if value < 0.0:
+        raise DomainError(f"sqrt of {value!r}")
 
 
 def check_angle(value):
@@ -282,6 +289,81 @@ def evaluate(node, x, ops):
         raise DomainError(f"overflow in expression evaluation ({exc})") from exc
 
 
+# Derivative trees. A zero derivative (literal 0) is folded away; a zero
+# literal of the tree is not, so the derivative it multiplies is still
+# evaluated and keeps its guards, as it does in an order-1 jet.
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+
+def _add(a, b):
+    return b if a == _ZERO else a if b == _ZERO else BinOp("+", a, b)
+
+
+def _sub(a, b):
+    return a if b == _ZERO else _neg(b) if a == _ZERO else BinOp("-", a, b)
+
+
+def _neg(a):
+    return a if a == _ZERO else Neg(a)
+
+
+def _scale(d, v):
+    """d * v for a derivative d and a value v."""
+    if d == _ZERO or v == _ONE:
+        return d
+    return v if d == _ONE else BinOp("*", v, d)
+
+
+def differentiate(node):
+    """The tree of d(node)/dx.
+
+    Every divisor is one the order-1 jet also checks, so the derivative is
+    refused where the jet is: d(a/b) = (da - (a/b) db)/b divides by b, a
+    negative power d(g^n) = n (g^n/g) dg divides by g^|n| and g only, and
+    d(sqrt g) = dg/(2 sqrt g) is never folded, so its divisor is checked even
+    when dg is 0.
+    """
+    kind = type(node)
+    if kind is Const:
+        return _ZERO
+    if kind is Var:
+        return _ONE
+    if kind is Neg:
+        return _neg(differentiate(node.arg))
+    if kind is BinOp:
+        a, b = node.left, node.right
+        da, db = differentiate(a), differentiate(b)
+        if node.op == "+":
+            return _add(da, db)
+        if node.op == "-":
+            return _sub(da, db)
+        if node.op == "*":
+            return _add(_scale(db, a), _scale(da, b))
+        num = _sub(da, _scale(db, node))
+        return _ZERO if num == _ZERO else BinOp("/", num, b)
+    if kind is IntPow:
+        g, n = node.base, node.exponent
+        dg = differentiate(g)
+        if n == 1 or dg == _ZERO:
+            return dg
+        if n == 0:
+            return _scale(dg, _ZERO)
+        if n < 0:
+            return _neg(_scale(dg, BinOp("*", Const(float(-n)), BinOp("/", node, g))))
+        return _scale(dg, BinOp("*", Const(float(n)), g if n == 2 else IntPow(g, n - 1)))
+    if kind is Call:
+        g = node.arg
+        dg = differentiate(g)
+        if node.fn == "sqrt":
+            return BinOp("/", dg, BinOp("*", Const(2.0), node))
+        if node.fn == "sin":
+            return _scale(dg, Call("cos", g))
+        if node.fn == "cos":
+            return _neg(_scale(dg, Call("sin", g)))
+        return _scale(dg, node)
+    raise TypeError(f"unknown node {node!r}")
+
+
 # Precedence levels used by the printer; parentheses are emitted whenever a
 # child's level is below what its position requires, so printing and
 # reparsing reproduces the tree exactly.
@@ -331,6 +413,11 @@ class SmoothFn:
 
     def __call__(self, x):
         return evaluate(self.root, float(x), FLOAT)
+
+    @cached_property
+    def prime(self):
+        """The derivative, as a SmoothFn; its tree is built on first use."""
+        return SmoothFn(differentiate(self.root), var=self.var)
 
     def to_source(self):
         return _print(self.root, 0, self.var)

@@ -10,7 +10,9 @@ products, reciprocal/quotient recursion, sin/cos pair recursion, exp and
 sqrt recursions, term-wise differentiation/integration, composition and
 compositional inversion. ``JET`` is the jet backend of the expression walk in
 ``expr``: ``jet_eval`` runs that walk on jets, and the division, sqrt and
-sin/cos guards are the ones ``expr`` defines, applied to the constant term.
+sin/cos guards are the ones ``expr`` defines, applied to the constant term;
+at order >= 1, ``jet_sqrt`` also floors its divisor 2 sqrt(c_0). First
+derivatives come from ``SmoothFn.prime``, not from jets.
 """
 
 from __future__ import annotations
@@ -201,10 +203,12 @@ def jet_exp(f):
 
 
 def jet_sqrt(f):
-    check_sqrt(f.coeffs[0], f.order)
+    check_sqrt(f.coeffs[0])
     n = f.order
     h = [0.0] * (n + 1)
     h[0] = math.sqrt(f.coeffs[0])
+    if n:
+        check_divisor(2.0 * h[0])
     for j in range(1, n + 1):
         acc = f.coeffs[j]
         for i in range(1, j):
@@ -295,8 +299,3 @@ def jet_eval(f: SmoothFn, base, order) -> Jet:
     """Jet of the expression ``f`` at ``base``, to the given order."""
     _check_order(order)
     return evaluate(f.root, variable_jet(float(base), order), JET)
-
-
-def derivative(f: SmoothFn, x):
-    """f'(x), read off the first-order jet of ``f`` at ``x``."""
-    return jet_eval(f, x, order=1).coeffs[1]

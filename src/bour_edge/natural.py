@@ -35,7 +35,7 @@ from scipy.interpolate import PchipInterpolator
 from . import bour
 from .cusps import CanonicalParameter, canonical_from_speed
 from .expr import SmoothFn
-from .jets import Jet, derivative, jet_compose, jet_eval, jet_sqrt
+from .jets import Jet, jet_compose, jet_eval, jet_sqrt
 from .profile import EdgeData
 from .quadrature import integrate_cumulative
 
@@ -56,8 +56,7 @@ class SmoothProfile:
         return self.x(u)
 
     def rates(self, u):
-        xj = jet_eval(self.x, u, 1)
-        return xj.value, xj.coeffs[1], derivative(self.z, u)
+        return self.x(u), self.x.prime(u), self.z.prime(u)
 
     def jets(self, u0, order):
         return jet_eval(self.x, u0, order), jet_eval(self.z, u0, order)

@@ -22,7 +22,7 @@ from .errors import (
     StarViolation,
 )
 from .expr import SmoothFn, parse_expr
-from .jets import Jet, derivative, jet_divide_by_power, jet_eval
+from .jets import Jet, jet_divide_by_power, jet_eval
 
 # Inside this radius V is evaluated from its jet at 0; the direct quotient
 # U'(s)/s^k loses about k digits there.
@@ -60,7 +60,7 @@ class EdgeData:
     def v_value(self, s):
         if abs(s) < V_SWITCH_RADIUS:
             return self.v_jet(s)
-        return derivative(self.U, s) / s**self.k
+        return self.U.prime(s) / s**self.k
 
     def replace(self, **kwargs):
         """A sibling datum sharing U, k, J; signs/parameters overridden."""
