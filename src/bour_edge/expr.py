@@ -12,19 +12,23 @@ Grammar (EBNF):
     integer  = [ "-" ] , digits ;
 
 The single variable defaults to ``s``. Exponents must be integer literals.
+``parse_expr`` refuses a tree deeper than ``MAX_DEPTH``, or parentheses,
+calls and unary minus nested deeper than that, with ``ExprSyntaxError``.
 
-One tree walk, ``evaluate``, computes a tree on a backend: ``FLOAT`` here
-(``SmoothFn.__call__``) or ``jets.JET`` (``jets.jet_eval``, Taylor mode). A
-backend lifts literals and supplies div, pow, sin, cos, exp and sqrt; the
-guards on a value (``check_divisor``, ``check_sqrt``, ``check_angle``,
-overflow) are written once here, so floats and jets accept and refuse the
-same points.
+``compile_tree`` turns a tree into a straight-line Python function on a
+backend: ``FLOAT`` here or ``jets.JET`` (Taylor mode). A backend lifts
+literals and supplies div, pow, sin, cos, exp and sqrt; the guards on a value
+(``check_divisor``, ``check_sqrt``, ``check_angle``, overflow) are written
+once here, so floats and jets accept and refuse the same points. A
+``SmoothFn`` compiles its tree once per backend, on first use:
+``SmoothFn.__call__`` runs the float function and ``jets.jet_eval`` the jet
+one.
 
 First derivatives do not need jets. ``differentiate`` builds the derivative
 tree of a tree once, with the usual rules, and ``SmoothFn.prime`` caches it
-as a ``SmoothFn``, so U'(s) is a float walk like U(s). Its divisors are those
-an order-1 jet checks, so ``f.prime(x)`` refuses exactly where the order-1
-jet of ``f`` at ``x`` does. Jets serve order >= 2 and Taylor series.
+as a ``SmoothFn``, so U'(s) is a compiled float call like U(s). Its divisors
+are those an order-1 jet checks, so ``f.prime(x)`` refuses exactly where the
+order-1 jet of ``f`` at ``x`` does. Jets serve order >= 2 and Taylor series.
 """
 
 from __future__ import annotations
@@ -103,12 +107,22 @@ def _tokenize(text):
     return tokens
 
 
+# The deepest tree parse_expr accepts, and the deepest nesting of parentheses,
+# function calls and unary minus. A derivative tree is at most about three
+# times as deep as its tree, so parsing, differentiate, to_source and
+# compile_tree all stay well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, height of its tree)."""
+
     def __init__(self, text, var):
         self.text = text
         self.var = var
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -124,49 +138,60 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         return self.advance()
 
+    def grow(self, height, pos):
+        """The height of a node over a child of ``height``, made at ``pos``."""
+        if height >= MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested too deeply (more than {MAX_DEPTH} levels)", pos)
+        return height + 1
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
         return node
 
     def expr(self):
-        node = self.term()
+        node, height = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term())
+                right, right_height = self.term()
+                node, height = BinOp(text, node, right), self.grow(max(height, right_height), pos)
             else:
-                return node
+                return node, height
 
     def term(self):
-        node = self.unary()
+        node, height = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = BinOp(text, node, self.unary())
+                right, right_height = self.unary()
+                node, height = BinOp(text, node, right), self.grow(max(height, right_height), pos)
             else:
-                return node
+                return node, height
 
     def unary(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
+            self.nesting = self.grow(self.nesting, pos)
+            arg, height = self.unary()
+            self.nesting -= 1
+            return Neg(arg), self.grow(height, pos)
         return self.power()
 
     def power(self):
-        node = self.atom()
+        node, height = self.atom()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text == "^":
                 self.advance()
-                node = IntPow(node, self.integer_literal())
+                node, height = IntPow(node, self.integer_literal()), self.grow(height, pos)
             else:
-                return node
+                return node, height
 
     def integer_literal(self):
         sign = 1
@@ -186,22 +211,26 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Const(float(text))
+            return Const(float(text)), 1
         if kind == "ident":
             self.advance()
             if text == self.var:
-                return Var()
+                return Var(), 1
             if text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                self.nesting = self.grow(self.nesting, pos)
+                arg, height = self.expr()
+                self.nesting -= 1
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), self.grow(height, pos)
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
             self.advance()
-            node = self.expr()
+            self.nesting = self.grow(self.nesting, pos)
+            result = self.expr()
+            self.nesting -= 1
             self.expect_op(")")
-            return node
+            return result
         raise ExprSyntaxError(f"expected a value, got {text!r}" if text else "unexpected end of input", pos)
 
 
@@ -228,7 +257,8 @@ def check_angle(value):
 
 
 # + - * and unary minus are the value type's own operators; const(value, x)
-# lifts a literal to the type of x.
+# lifts a literal to the type of x, and is None where a literal already is a
+# value of that type.
 Backend = namedtuple("Backend", "const div pow sin cos exp sqrt")
 
 
@@ -249,44 +279,73 @@ def _float_sqrt(v):
 
 
 FLOAT = Backend(
-    const=lambda value, x: value, div=_float_div, pow=_float_pow,
+    const=None, div=_float_div, pow=_float_pow,
     sin=lambda v: math.sin(check_angle(v)), cos=lambda v: math.cos(check_angle(v)),
     exp=math.exp, sqrt=_float_sqrt,
 )
 
 
-def _walk(node, x, ops):
-    kind = type(node)
-    if kind is BinOp:
-        a = _walk(node.left, x, ops)
-        b = _walk(node.right, x, ops)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return ops.div(a, b)
-    if kind is Var:
-        return x
-    if kind is Const:
-        return ops.const(node.value, x)
-    if kind is IntPow:
-        return ops.pow(_walk(node.base, x, ops), node.exponent)
-    if kind is Call:
-        return getattr(ops, node.fn)(_walk(node.arg, x, ops))
-    if kind is Neg:
-        return -_walk(node.arg, x, ops)
-    raise TypeError(f"unknown node {node!r}")
+_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})"}
 
 
-def evaluate(node, x, ops):
-    """The tree ``node`` at ``x`` on the backend ``ops``; overflow is a DomainError."""
-    try:
-        return _walk(node, x, ops)
-    except OverflowError as exc:
-        raise DomainError(f"overflow in expression evaluation ({exc})") from exc
+def compile_tree(root, ops):
+    """The tree ``root`` as a Python function of x on the backend ``ops``.
+
+    The function is straight-line code with one temporary per distinct
+    subtree, computed in the order a left-to-right post-order walk first
+    reaches it, so it returns the walk's result bit for bit and raises the
+    walk's first error. + - * and unary minus are Python operators; / ^ sin
+    cos exp sqrt call the backend's guarded functions. Literals reach the
+    code only as names bound in its namespace, and overflow is a DomainError.
+    """
+    env = {"_div": ops.div, "_pow": ops.pow, "_sin": ops.sin, "_cos": ops.cos,
+           "_exp": ops.exp, "_sqrt": ops.sqrt, "_const": ops.const, "_DomainError": DomainError}
+    literals = {}
+    temps = {}  # right-hand side -> the temporary that holds it
+    lines = []
+
+    def literal(value):
+        key = repr(value)  # tells 0.0 from -0.0, which Const equality does not
+        if key not in literals:
+            literals[key] = f"_c{len(literals)}"
+            env[literals[key]] = value
+        return literals[key]
+
+    def bind(rhs):
+        if rhs not in temps:
+            temps[rhs] = f"t{len(temps)}"
+            lines.append(f"        {temps[rhs]} = {rhs}")
+        return temps[rhs]
+
+    def emit(node):
+        kind = type(node)
+        if kind is BinOp:
+            a, b = emit(node.left), emit(node.right)
+            return bind(_BINARY[node.op].format(a, b))
+        if kind is Var:
+            return "x"
+        if kind is Const:
+            name = literal(node.value)
+            return name if ops.const is None else bind(f"_const({name}, x)")
+        if kind is IntPow:
+            return bind(f"_pow({emit(node.base)}, {literal(node.exponent)})")
+        if kind is Call and node.fn in _FUNCTIONS:
+            return bind(f"_{node.fn}({emit(node.arg)})")
+        if kind is Neg:
+            return bind(f"-{emit(node.arg)}")
+        raise TypeError(f"unknown node {node!r}")
+
+    result = emit(root)
+    source = "\n".join([
+        "def compiled(x):",
+        "    try:",
+        *lines,
+        f"        return {result}",
+        "    except OverflowError as exc:",
+        "        raise _DomainError(f'overflow in expression evaluation ({exc})') from exc",
+    ])
+    exec(compile(source, "<expression>", "exec"), env)
+    return env["compiled"]
 
 
 # Derivative trees. A zero derivative (literal 0) is folded away; a zero
@@ -412,7 +471,23 @@ class SmoothFn:
     var: str = field(compare=False, default="s")
 
     def __call__(self, x):
-        return evaluate(self.root, float(x), FLOAT)
+        return self.float_fn(float(x))
+
+    @cached_property
+    def float_fn(self):
+        """The tree compiled for floats (``compile_tree`` on ``FLOAT``)."""
+        return compile_tree(self.root, FLOAT)
+
+    @cached_property
+    def jet_fn(self):
+        """The tree compiled for jets (``compile_tree`` on ``jets.JET``)."""
+        from .jets import JET  # jets imports this module
+
+        return compile_tree(self.root, JET)
+
+    def __getstate__(self):
+        # Compiled functions cannot be pickled; they are rebuilt on first use.
+        return {k: v for k, v in self.__dict__.items() if k not in ("float_fn", "jet_fn")}
 
     @cached_property
     def prime(self):

@@ -8,11 +8,11 @@ rather than raw derivatives keeps high-order arithmetic well conditioned
 All recurrences are the standard ones for truncated power series: Cauchy
 products, reciprocal/quotient recursion, sin/cos pair recursion, exp and
 sqrt recursions, term-wise differentiation/integration, composition and
-compositional inversion. ``JET`` is the jet backend of the expression walk in
-``expr``: ``jet_eval`` runs that walk on jets, and the division, sqrt and
-sin/cos guards are the ones ``expr`` defines, applied to the constant term;
-at order >= 1, ``jet_sqrt`` also floors its divisor 2 sqrt(c_0). First
-derivatives come from ``SmoothFn.prime``, not from jets.
+compositional inversion. ``JET`` is the jet backend of ``expr.compile_tree``:
+``jet_eval`` runs a tree's compiled jet function (``SmoothFn.jet_fn``), and
+the division, sqrt and sin/cos guards are the ones ``expr`` defines, applied
+to the constant term; at order >= 1, ``jet_sqrt`` also floors its divisor
+2 sqrt(c_0). First derivatives come from ``SmoothFn.prime``, not from jets.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotDivisible
-from .expr import DIV_FLOOR, Backend, SmoothFn, check_angle, check_divisor, check_sqrt, evaluate
+from .expr import DIV_FLOOR, Backend, SmoothFn, check_angle, check_divisor, check_sqrt
 
 MAX_ORDER = 32
 
@@ -298,4 +298,4 @@ JET = Backend(
 def jet_eval(f: SmoothFn, base, order) -> Jet:
     """Jet of the expression ``f`` at ``base``, to the given order."""
     _check_order(order)
-    return evaluate(f.root, variable_jet(float(base), order), JET)
+    return f.jet_fn(variable_jet(float(base), order))

@@ -131,7 +131,12 @@ def _zero_band(data_u_jet, tol=None):
 
 
 def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
-    """Evaluate the radicand on a grid plus bisection near sign changes."""
+    """Evaluate the radicand on a grid plus bisection near sign changes.
+
+    U is evaluated once per grid point, and the radicand reuses that value.
+    Raises NonPositiveU at the first grid point where U is not positive,
+    before any V is evaluated.
+    """
     if samples < 16:
         raise ValueError("samples must be at least 16")
     lo, hi = data.J
@@ -139,7 +144,11 @@ def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
     if not any(abs(g) < 1e-15 for g in grid):
         grid.append(0.0)
         grid.sort()
-    values = [radicand(data, s) for s in grid]
+    us = [data.u_value(s) for s in grid]
+    for s, u in zip(grid, us):
+        if not u > 0.0:
+            raise NonPositiveU(f"U({s!r}) = {u!r} is not positive on J")
+    values = [star_radicand(u, data.v_value(s), data.h, data.m) for s, u in zip(grid, us)]
     failures = []
     rho_min = min(values)
     for s, val in zip(grid, values):
@@ -203,12 +212,6 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
 
     data = EdgeData(U=U, h=h, m=m, eps0=eps0, eps1=eps1, eps2=eps2,
                     k=int(k), J=(lo, hi), v_jet=v_jet)
-
-    grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    for s in grid:
-        u = U(s)
-        if not u > 0.0:
-            raise NonPositiveU(f"U({s!r}) = {u!r} is not positive on J")
 
     report = check_star(data, samples)
     if not report.star_ok:

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import sys
 
 import pytest
+from tree_walk import walked_call, walked_jet_eval
 
+from bour_edge import jets
 from bour_edge.cli import main
+from bour_edge.expr import SmoothFn
 
 
 EDGE_K1 = {
@@ -198,3 +202,56 @@ def test_validate_non_finite_pitch_is_usage_error(capsys, datum_file):
     code, out, _ = run_cli(capsys, "validate", "--datum", datum_file, "--h", "nan")
     assert code == 2
     assert out == ""
+
+
+_INLINE_SIGNS = ("--h", "0", "--m", "1", "--eps0", "1", "--eps1", "1", "--eps2", "1",
+                 "--k", "1", "--J", "-0.8", "0.8")
+
+
+@pytest.mark.parametrize("U", [
+    "1" + "+0*s^2" * 999,  # a left-deep sum of 1000 terms
+    "(" * 200 + "1 + s^2" + ")" * 200,
+], ids=["sum_of_1000_terms", "200_parentheses"])
+def test_validate_too_deep_expression_is_usage_error(capsys, U):
+    code, out, err = run_cli(capsys, "validate", "--U", U, *_INLINE_SIGNS)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bour-edge: error: bad expression for U: expression nested too deeply")
+
+
+_BYTE_IDENTITY_DATA = {
+    "readme": EDGE_K1,
+    "edge_k2": {"U": "(-s^2+2)*cos(s) + 2*s*sin(s) - 1", "h": 0.1, "m": 1.0,
+                "eps0": 1, "eps1": 1, "eps2": -1, "k": 2, "J": [-0.7, 0.7]},
+    "six_powers": {"U": "1.2 + 0.2*(1 - cos(s)) + 0.1*s^2 - 0.05*s^3 + 0.02*s^4 + 0.1*s^5 - 0.03*s^6",
+                   "h": 0.3, "m": 1.1, "eps0": 1, "eps1": 1, "eps2": -1, "k": 1,
+                   "J": [-0.45, 0.45]},
+}
+
+
+def _cli_outputs(capsys, path):
+    results = []
+    for command in ("validate", "invariants", "classify", "roundtrip"):
+        code, out, _ = run_cli(capsys, command, "--datum", path)
+        results.append((command, code, out))
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(_BYTE_IDENTITY_DATA))
+def test_cli_output_does_not_depend_on_the_evaluator(capsys, monkeypatch, tmp_path, name):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(_BYTE_IDENTITY_DATA[name]))
+    compiled = _cli_outputs(capsys, str(path))
+
+    walks = []
+    compiled_jet_eval = jets.jet_eval
+    monkeypatch.setattr(SmoothFn, "__call__", lambda f, x: walks.append("float") or walked_call(f, x))
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("bour_edge") and getattr(module, "jet_eval", None) is compiled_jet_eval:
+            monkeypatch.setattr(module, "jet_eval",
+                                lambda f, base, order: walks.append("jet") or walked_jet_eval(f, base, order))
+    walked = _cli_outputs(capsys, str(path))
+
+    assert set(walks) == {"float", "jet"}
+    assert [code for _, code, _ in compiled] == [0, 0, 0, 0]
+    assert walked == compiled

@@ -195,3 +195,19 @@ def test_check_star_counts_nan_radicand_as_failure(edge_k1):
     report = check_star(edge_k1.replace(h=math.nan), 64)
     assert not report.star_ok
     assert any(name == "rho_at_zero" for name, _, _ in report.failures)
+
+
+def test_make_edge_data_evaluates_U_once_per_star_grid_point(monkeypatch):
+    U = parse_expr("1 - s*cos(s) + sin(s)")
+    calls = []
+    call = type(U).__call__
+    monkeypatch.setattr(type(U), "__call__", lambda f, x: calls.append(f is U) or call(f, x))
+    make_edge_data(U, h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1, k=1, J=(-0.8, 0.8), samples=64)
+    assert sum(calls) == 65  # 64 grid points and s = 0
+
+
+def test_non_positive_U_is_reported_before_a_refused_V():
+    # U(-1) = -1 on the grid, and U' divides by 2 sqrt(0) at the grid point s = 0.5.
+    with pytest.raises(NonPositiveU, match=r"U\(-1\.0\) = -1\.0 is not positive on J"):
+        make_edge_data("1 + 0*sqrt((s - 0.5)^2) - 2*s^2", h=0.0, m=1.0,
+                       eps0=1, eps1=1, eps2=1, k=1, J=(-1.0, 1.0), samples=65)
