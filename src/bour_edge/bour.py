@@ -27,7 +27,7 @@ import numpy as np
 from . import quadrature
 from ._fmt import fmt17
 from ._version import __version__
-from .jets import jet_eval, jet_sin_cos, jet_sqrt, variable_jet
+from .jets import jet_sin_cos, jet_sqrt, variable_jet
 from .profile import EdgeData, sqrt_at, star_radicand, x_squared
 
 # Pointwise evaluation switches to truncated jets inside this radius.
@@ -99,17 +99,6 @@ def _rates(data: EdgeData, w):
     return profile_rates(data, w**data.k, data.u_value(w), data.v_value(w), sqrt_at(w))
 
 
-def _jets_at(data: EdgeData, s0, order):
-    """profile_rates as jets at s0; V from the datum's series at 0, else U'/s^k."""
-    wk = variable_jet(s0, order) ** data.k
-    if s0 == 0.0:
-        u_j, v_j = data.u_jet(order), data.v_jet.truncated(order)
-    else:
-        u_j = jet_eval(data.U, s0, order + 1)
-        u_j, v_j = u_j.truncated(order), u_j.differentiate() / wk
-    return profile_rates(data, wk, u_j, v_j, jet_sqrt)
-
-
 def x_of_s(data: EdgeData, s):
     """x(s) = eps0 sqrt(m^2 U^2 - h^2); never zero on a valid datum."""
     return data.eps0 * sqrt_at(s)(x_squared(data.u_value(s), data.h, data.m))
@@ -123,13 +112,19 @@ def _theta_integrand(data):
     return lambda w: _rates(data, w)[3]
 
 
-@lru_cache(maxsize=256)
-def _series_bundle(data: EdgeData, order):
-    """Jets at s = 0 of x, z and the theta integral, to the given order."""
-    x_j, _, zi_j, ti_j = _jets_at(data, 0.0, order)
+def _series(data: EdgeData, order):
+    """Jets at s = 0 of x, z and the theta integral, to the given order; V from its series."""
+    wk = variable_jet(0.0, order) ** data.k
+    x_j, _, zi_j, ti_j = profile_rates(data, wk, data.u_jet(order), data.v_jet.truncated(order),
+                                       jet_sqrt)
     z_j = (data.eps2 * data.m * zi_j).antiderivative().truncated(order)
     i_j = ti_j.antiderivative().truncated(order)
     return x_j, z_j, i_j
+
+
+# Cached for the invariant oracles and near-zero evaluation. The cache keeps
+# every datum it sees alive, so natural.BourProfile calls _series instead.
+_series_bundle = lru_cache(maxsize=256)(_series)
 
 
 def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):

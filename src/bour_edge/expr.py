@@ -13,7 +13,8 @@ Grammar (EBNF):
 
 The single variable defaults to ``s``. Exponents must be integer literals.
 ``parse_expr`` refuses a tree deeper than ``MAX_DEPTH``, or parentheses,
-calls and unary minus nested deeper than that, with ``ExprSyntaxError``.
+calls and unary minus nested deeper than that, with ``ExprSyntaxError``;
+``SmoothFn`` arithmetic refuses a taller result with ``ValueError``.
 
 ``compile_tree`` turns a tree into a straight-line Python function on a
 backend: ``FLOAT`` here or ``jets.JET`` (Taylor mode). A backend lifts
@@ -145,11 +146,12 @@ class _Parser:
         return height + 1
 
     def parse(self):
-        node, _ = self.expr()
+        """The tree and its height."""
+        result = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
-        return node
+        return result
 
     def expr(self):
         node, height = self.term()
@@ -464,11 +466,22 @@ def _print(node, min_level, var):
 
 @dataclass(frozen=True)
 class SmoothFn:
-    """A smooth function of one real variable, held as an expression tree."""
+    """A smooth function of one real variable, held as an expression tree.
+
+    ``height`` is the number of nodes on the longest path from the root to a
+    leaf. The parser and the arithmetic operators pass it in, so arithmetic
+    can refuse a tree taller than ``MAX_DEPTH`` without walking its operands;
+    otherwise it is measured once, on construction.
+    """
 
     root: object
     source_text: str = field(compare=False, default="")
     var: str = field(compare=False, default="s")
+    height: int = field(compare=False, default=None)
+
+    def __post_init__(self):
+        if self.height is None:
+            object.__setattr__(self, "height", _height(self.root, {}))
 
     def __call__(self, x):
         return self.float_fn(float(x))
@@ -497,11 +510,17 @@ class SmoothFn:
     def to_source(self):
         return _print(self.root, 0, self.var)
 
+    def _grown(self, node, *operands):
+        """A SmoothFn of ``node`` over ``operands``; refused past MAX_DEPTH."""
+        height = 1 + max(f.height for f in operands)
+        if height > MAX_DEPTH:
+            raise ValueError(f"expression nested too deeply (more than {MAX_DEPTH} levels)")
+        return SmoothFn(node, var=self.var, height=height)
+
     def _combine(self, other, op):
         if isinstance(other, (int, float)):
             other = SmoothFn(Const(float(other)), var=self.var)
-        node = BinOp(op, self.root, other.root)
-        return SmoothFn(node, _print(node, 0, self.var), self.var)
+        return self._grown(BinOp(op, self.root, other.root), self, other)
 
     def __add__(self, other):
         return self._combine(other, "+")
@@ -525,17 +544,28 @@ class SmoothFn:
         return self._combine(other, "/")
 
     def __neg__(self):
-        node = Neg(self.root)
-        return SmoothFn(node, _print(node, 0, self.var), self.var)
+        return self._grown(Neg(self.root), self)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        node = IntPow(self.root, n)
-        return SmoothFn(node, _print(node, 0, self.var), self.var)
+        return self._grown(IntPow(self.root, n), self)
+
+
+def _height(node, memo):
+    """The height of the tree at ``node``; ``memo`` measures a shared subtree once."""
+    key = id(node)
+    if key not in memo:
+        height = 0
+        for name in ("arg", "left", "right", "base"):
+            child = getattr(node, name, None)
+            if child is not None:
+                height = max(height, _height(child, memo))
+        memo[key] = height + 1
+    return memo[key]
 
 
 def parse_expr(text, var="s"):
     """Parse ``text`` into a SmoothFn over the variable ``var``."""
-    root = _Parser(text, var).parse()
-    return SmoothFn(root, text, var)
+    root, height = _Parser(text, var).parse()
+    return SmoothFn(root, text, var, height)

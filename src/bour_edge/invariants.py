@@ -139,17 +139,28 @@ def kappa_t_numeric(data: EdgeData, t=0.0, step=1e-5):
     return term1 - term2
 
 
-def _require_ladder(data, upto):
-    """All of U^(n+j)(0), j = 1..upto, must vanish within tolerance."""
+def _ladder(data):
+    """The jet of U at 0 to order 2n, and the first rung j of the omega ladder
+    whose U^(n+j)(0) does not vanish within tolerance (n when none, 1 <= j < n)."""
     n = data.n
-    u_jet = data.u_jet(n + upto + 1)
+    u_jet = data.u_jet(2 * n)
     band = _ladder_band(data)
-    for j in range(1, upto + 1):
-        d = u_jet.derivative_value(n + j)
-        if abs(d) > band:
-            raise LadderViolated(
-                f"U^({n + j})(0) = {d!r} is nonzero; omega_(n,n+{j}) does not vanish"
-            )
+    for j in range(1, n):
+        if abs(u_jet.derivative_value(n + j)) > band:
+            return u_jet, j
+    return u_jet, n
+
+
+def _require_ladder(data, upto):
+    """The jet of _ladder, once U^(n+j)(0), j = 1..upto, are found to vanish."""
+    u_jet, j = _ladder(data)
+    if j <= upto:
+        n = data.n
+        raise LadderViolated(
+            f"U^({n + j})(0) = {u_jet.derivative_value(n + j)!r} is nonzero; "
+            f"omega_(n,n+{j}) does not vanish"
+        )
+    return u_jet
 
 
 def omega(data: EdgeData, i):
@@ -159,9 +170,7 @@ def omega(data: EdgeData, i):
         if i == n:
             raise ValueError("omega with i = n is the bias; use beta()")
         raise ValueError(f"omega index i = {i!r} outside 1..{n - 1}")
-    _require_ladder(data, i - 1)
-    u_jet = data.u_jet(n + i)
-    un_i = u_jet.derivative_value(n + i)
+    un_i = _require_ladder(data, i - 1).derivative_value(n + i)
     fact = math.factorial(n - 1) ** ((n + i) / n)
     return data.eps1 * data.eps2 * data.m**2 * _u0(data) * un_i / (fact * rho(data, 0.0))
 
@@ -169,9 +178,7 @@ def omega(data: EdgeData, i):
 def beta(data: EdgeData):
     """(n, 2n)-bias, closed form; requires the full omega ladder to vanish."""
     n = data.n
-    _require_ladder(data, n - 1)
-    u_jet = data.u_jet(2 * n)
-    u2n = u_jet.derivative_value(2 * n)
+    u2n = _require_ladder(data, n - 1).derivative_value(2 * n)
     u0 = _u0(data)
     first = data.m**2 * u0 * u2n / math.factorial(n - 1) ** 2
     second = math.comb(2 * n - 1, n) * data.h**2 / (data.m**2 * u0**2)
@@ -222,32 +229,20 @@ class InvariantReport:
     max_discrepancy: float
 
 
-def _defined_omega_indices(data):
-    """Indices i for which omega_{n,n+i} is defined: the ladder below i vanishes."""
-    n = data.n
-    u_jet = data.u_jet(2 * n)
-    band = _ladder_band(data)
-    indices = []
-    for i in range(1, n):
-        indices.append(i)
-        if abs(u_jet.derivative_value(n + i)) > band:
-            return indices, False
-    return indices, True
-
-
 def compute_invariant_report(data: EdgeData) -> InvariantReport:
     pairs = [
         InvariantPair(kappa_nu(data), kappa_nu_numeric(data)),
         InvariantPair(kappa_t(data), kappa_t_numeric(data)),
     ]
-    indices, full_ladder_vanishes = _defined_omega_indices(data)
+    # omega_(n,n+i) is defined while the ladder below i vanishes; beta needs all of it.
+    _, first_rung = _ladder(data)
     omegas = []
-    for i in indices:
+    for i in range(1, min(first_rung, data.n - 1) + 1):
         pair = InvariantPair(omega(data, i), omega_numeric(data, i))
         omegas.append((i, pair))
         pairs.append(pair)
     beta_pair = None
-    if full_ladder_vanishes:
+    if first_rung == data.n:
         beta_pair = InvariantPair(beta(data), beta_numeric(data))
         pairs.append(beta_pair)
     return InvariantReport(

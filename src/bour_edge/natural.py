@@ -17,11 +17,15 @@ in which the metric is s^(2k) ds^2 + U(s)^2 dt^2:
 ``roundtrip`` drives this pipeline on a profile read back from a Bour datum
 and compares the recovered metric function with the original U.
 
-A profile is read through three methods: ``x_value(u)``, for the U table,
-which needs x alone; ``rates(u) -> (x, xdot, zdot)``; and
-``jets(u0, order) -> (x jet, z jet)``. The speeds, the shear rate and the
-genericity check read each point once, with one call, so a Bour profile
-evaluates bour.profile_rates once per point.
+A profile is any object with the pitch ``h``, the parameter ``interval``
+(lo, hi) and three methods: ``x_value(u)``, for the U table, which needs x
+alone; ``rates(u) -> (x, xdot, zdot)``; and ``jets(u0, order) -> (x jet,
+z jet)``. ``HelicoidalInput`` gives all of these from two expressions.
+``BourProfile`` reads a datum (h and J are the datum's), and
+``ReparamProfile`` re-reads a profile in a chart's s on the chart's s-range;
+these two give jets at 0 only. The speeds, the shear rate and the genericity
+check read each point once, with one call, so a Bour profile evaluates
+bour.profile_rates once per point.
 """
 
 from __future__ import annotations
@@ -45,12 +49,20 @@ DEFAULT_TOL = 1e-8
 QUAD_TOL = 1e-12
 
 
-class SmoothProfile:
-    """Profile curve from two expression trees."""
+@dataclass(frozen=True)
+class HelicoidalInput:
+    """Profile (x(u), z(u)) from two expression trees, with pitch h on an interval."""
 
-    def __init__(self, x: SmoothFn, z: SmoothFn):
-        self.x = x
-        self.z = z
+    x: SmoothFn
+    z: SmoothFn
+    h: float
+    interval: tuple
+
+    def __post_init__(self):
+        lo, hi = self.interval
+        samples = [self.x(float(u)) for u in np.linspace(lo, hi, 64)]
+        if any(v == 0.0 for v in samples) or min(samples) < 0.0 < max(samples):
+            raise ValueError("profile meets the axis: x vanishes on the interval")
 
     def x_value(self, u):
         return self.x(u)
@@ -63,15 +75,16 @@ class SmoothProfile:
 
 
 class BourProfile:
-    """Profile (x(s), z(s)) read back from a Bour datum.
+    """Profile (x(s), z(s)) read back from a Bour datum, with its h and J.
 
-    x is closed form and z needs a quadrature, but rates and jets come from
-    one bour.profile_rates call each, on floats or on jets.
+    x is closed form and z needs a quadrature, but rates come from one
+    bour.profile_rates call per point, and jets at 0 from the datum's series.
     """
 
-    def __init__(self, data: EdgeData, tol=QUAD_TOL):
+    def __init__(self, data: EdgeData):
         self.data = data
-        self.tol = tol
+        self.h = data.h
+        self.interval = data.J
 
     def x_value(self, s):
         return bour.x_of_s(self.data, s)
@@ -82,18 +95,19 @@ class BourProfile:
         return x, xd, d.eps2 * d.m * zi
 
     def jets(self, u0, order):
-        d = self.data
-        x_j, _, zi_j, _ = bour._jets_at(d, u0, order)
-        z0 = bour.z_of_s(d, u0, self.tol)
-        return x_j, (d.eps2 * d.m * zi_j).antiderivative(z0).truncated(order)
+        if u0 != 0.0:
+            raise ValueError("Bour profiles carry jets at 0 only")
+        return bour._series(self.data, order)[:2]
 
 
 class ReparamProfile:
-    """A profile re-read in the s-parameter of an already-computed chart."""
+    """A profile re-read in the s-parameter of an already-computed chart, on its s-range."""
 
     def __init__(self, base, canonical: CanonicalParameter):
         self.base = base
         self.canonical = canonical
+        self.h = base.h
+        self.interval = (float(canonical.s_table[0]), float(canonical.s_table[-1]))
 
     def x_value(self, sigma):
         return self.base.x_value(float(self.canonical.u_of_s(sigma)))
@@ -109,24 +123,6 @@ class ReparamProfile:
             raise ValueError("reparametrized profiles carry jets at 0 only")
         u_j = self.canonical.u_jet.truncated(order)
         return tuple(jet_compose(j, u_j) for j in self.base.jets(self.canonical.u0, order))
-
-
-@dataclass(frozen=True)
-class HelicoidalInput:
-    x: SmoothFn
-    z: SmoothFn
-    h: float
-    interval: tuple
-
-    def __post_init__(self):
-        lo, hi = self.interval
-        samples = [self.x(float(u)) for u in np.linspace(lo, hi, 64)]
-        if any(v == 0.0 for v in samples) or min(samples) < 0.0 < max(samples):
-            raise ValueError("profile meets the axis: x vanishes on the interval")
-
-    @property
-    def profile(self):
-        return SmoothProfile(self.x, self.z)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -160,19 +156,15 @@ def _sheared_speed_sq(x, xd, zd, h):
     return xd * xd + zd * zd * x_sq / (x_sq + h * h)
 
 
-def _sheared_speed(profile, h, u):
-    return math.sqrt(_sheared_speed_sq(*profile.rates(u), h))
+def _sheared_speed(profile, u):
+    return math.sqrt(_sheared_speed_sq(*profile.rates(u), profile.h))
 
 
-def singular_set(inp: HelicoidalInput, n_samples=DEFAULT_SAMPLES):
+def singular_set(profile, n_samples=DEFAULT_SAMPLES):
     """Parameter values where the helicoidal surface is singular."""
-    return _singular_set(inp.profile, inp.interval, n_samples)
-
-
-def _singular_set(profile, interval, n_samples=DEFAULT_SAMPLES):
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64")
-    lo, hi = interval
+    lo, hi = profile.interval
     grid = np.linspace(lo, hi, n_samples)
     g = np.array([_speed_sq(profile, float(u)) for u in grid])
     speed_scale = max(math.sqrt(float(np.max(g))), 1e-30)
@@ -205,12 +197,8 @@ class GenericityCheck:
     failures: tuple
 
 
-def check_generic(inp: HelicoidalInput, u0, k, tol=DEFAULT_TOL):
+def check_generic(profile, u0, k, tol=DEFAULT_TOL):
     """Is u0 a generic singular point of multiplicity k+1 for this profile?"""
-    return _check_generic(inp.profile, u0, k, tol)
-
-
-def _check_generic(profile, u0, k, tol=DEFAULT_TOL):
     xj, zj = profile.jets(u0, k + 1)
     dx = [xj.derivative_value(i) for i in range(k + 2)]
     dz = [zj.derivative_value(i) for i in range(k + 2)]
@@ -250,12 +238,6 @@ class NaturalChart:
     def s_table(self):
         return self.canonical.s_table
 
-    def s_of_u(self, u):
-        return float(self.canonical.s_of_u(u))
-
-    def u_of_s(self, s):
-        return float(self.canonical.u_of_s(s))
-
     def to_dict(self):
         return {
             "u0": self.u0,
@@ -270,15 +252,13 @@ class NaturalChart:
         }
 
 
-def natural_coordinates(inp: HelicoidalInput, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_TOL):
-    return _natural_coordinates(inp.profile, inp.h, inp.interval, u0, k, n_tab, quad_tol)
-
-
-def _natural_coordinates(profile, h, interval, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_TOL):
-    report = _check_generic(profile, u0, k)
+def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_TOL):
+    """The natural chart (s, t) of the profile's surface around the singular point u0."""
+    report = check_generic(profile, u0, k)
     if not report.ok:
         raise ValueError("not a generic singular point: " + "; ".join(report.failures))
-    lo, hi = interval
+    h = profile.h
+    lo, hi = profile.interval
 
     phi_nodes = np.unique(np.concatenate([np.linspace(lo, hi, n_tab), [u0]]))
     if h == 0.0:
@@ -297,8 +277,8 @@ def _natural_coordinates(profile, h, interval, u0, k, n_tab=DEFAULT_TABULATION, 
     xj, zj = profile.jets(u0, order + 1)
     speed_sq_jet = _sheared_speed_sq(xj, xj.differentiate(), zj.differentiate(), h)
 
-    canonical = canonical_from_speed(lambda u: _sheared_speed(profile, h, u), speed_sq_jet,
-                                     u0, k, interval, n_tab)
+    canonical = canonical_from_speed(lambda u: _sheared_speed(profile, u), speed_sq_jet,
+                                     u0, k, profile.interval, n_tab)
 
     x_values = np.array([profile.x_value(float(u)) for u in canonical.u_table])
     U_table = np.sqrt(x_values**2 + h**2)
@@ -340,8 +320,8 @@ def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=Q
     Requires 0 in the interior of J (the chart tabulates on both sides of
     the singular curve).
     """
-    profile = BourProfile(data, quad_tol)
-    chart = _natural_coordinates(profile, data.h, data.J, 0.0, data.k, n_tab, quad_tol)
+    profile = BourProfile(data)
+    chart = natural_coordinates(profile, 0.0, data.k, n_tab, quad_tol)
     u0_val = data.u_value(0.0)
     m_hat = float(chart.U_of_s(0.0)) / u0_val
 
@@ -364,7 +344,7 @@ def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=Q
         g_rec = (U_rec / m_hat) ** 2
         sup_metric = max(sup_metric, abs(g_rec - data.u_value(s) ** 2))
         if abs(u) > 1e-3:
-            e_rec = (_sheared_speed(profile, data.h, u) / float(dsdu_interp(u))) ** 2
+            e_rec = (_sheared_speed(profile, u) / float(dsdu_interp(u))) ** 2
             sup_metric = max(sup_metric, abs(e_rec - s ** (2 * data.k)))
     return RoundtripReport(sup_error_U=sup_u, sup_error_metric=sup_metric, m_hat=m_hat, chart=chart)
 
@@ -375,7 +355,5 @@ def second_pass_chart(data: EdgeData, chart: NaturalChart, n_tab=DEFAULT_TABULAT
     The chart's s is already canonical, so the second extraction should be a
     fixed point up to tabulation error; used by the stability tests.
     """
-    base = BourProfile(data, quad_tol)
-    prof2 = ReparamProfile(base, chart.canonical)
-    interval2 = (float(chart.s_table[0]), float(chart.s_table[-1]))
-    return _natural_coordinates(prof2, data.h, interval2, 0.0, data.k, n_tab, quad_tol)
+    profile = ReparamProfile(BourProfile(data), chart.canonical)
+    return natural_coordinates(profile, 0.0, data.k, n_tab, quad_tol)

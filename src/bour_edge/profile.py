@@ -46,6 +46,8 @@ class EdgeData:
     k: int
     J: tuple
     v_jet: Jet = field(compare=False, default=None)
+    # The least rho^2 of make_edge_data's star scan; None on a replace() sibling.
+    _rho_min: float = field(compare=False, default=None, repr=False)
 
     @property
     def n(self):
@@ -220,7 +222,7 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
             f"first at s = {report.failures[0][1]!r}",
             failures=report.failures,
         )
-    return data
+    return data.replace(_rho_min=report.rho_min)
 
 
 def datum_from_dict(payload, zero_tol=None, samples=DEFAULT_STAR_SAMPLES):
@@ -232,7 +234,7 @@ def datum_from_dict(payload, zero_tol=None, samples=DEFAULT_STAR_SAMPLES):
         eps1=int(payload["eps1"]),
         eps2=int(payload["eps2"]),
         k=int(payload["k"]),
-        J=tuple(payload["J"]),
+        J=tuple(float(v) for v in payload["J"]),
         zero_tol=zero_tol,
         samples=samples,
     )

@@ -255,3 +255,16 @@ def test_cli_output_does_not_depend_on_the_evaluator(capsys, monkeypatch, tmp_pa
     assert set(walks) == {"float", "jet"}
     assert [code for _, code, _ in compiled] == [0, 0, 0, 0]
     assert walked == compiled
+
+
+def test_validate_scans_the_star_grid_once(capsys, monkeypatch, datum_file):
+    from bour_edge.profile import check_star
+    calls = []
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("bour_edge") and getattr(module, "check_star", None) is check_star:
+            monkeypatch.setattr(module, "check_star",
+                                lambda *a, **kw: calls.append(1) or check_star(*a, **kw))
+    code, out, _ = run_cli(capsys, "validate", "--datum", datum_file)
+    assert code == 0
+    assert json.loads(out)["star_ok"] is True
+    assert len(calls) == 1

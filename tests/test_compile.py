@@ -128,3 +128,39 @@ def test_a_used_datum_still_pickles(edge_k1):
     assert copy == edge_k1
     assert copy.U(0.3) == edge_k1.U(0.3)
     assert copy.U.prime(0.3) == edge_k1.U.prime(0.3)
+
+
+def test_arithmetic_refuses_a_tree_past_the_bound():
+    f = parse_expr("s")
+    for _ in range(MAX_DEPTH - 1):
+        f = f + 1.0
+    assert f.height == MAX_DEPTH
+    with pytest.raises(ValueError, match=f"nested too deeply \\(more than {MAX_DEPTH} levels\\)"):
+        f + 1.0
+    with pytest.raises(ValueError, match="nested too deeply"):
+        -f
+    with pytest.raises(ValueError, match="nested too deeply"):
+        f**2
+
+
+def test_arithmetic_tree_at_the_bound_evaluates_differentiates_and_prints():
+    f = parse_expr("s")
+    for _ in range(MAX_DEPTH - 1):
+        f = 0.5 * f if f.height % 2 else f + 1.0
+    assert f.height == MAX_DEPTH
+    assert f.source_text == ""
+    reparsed = parse_expr(f.to_source())
+    assert reparsed.root == f.root and reparsed.height == MAX_DEPTH
+    assert walk_eval(f.root, 0.3, FLOAT).hex() == f(0.3).hex()
+    assert f.prime(0.3) == pytest.approx(jet_eval(f, 0.3, 1).coeffs[1], rel=1e-15)
+
+
+def test_arithmetic_height_check_does_not_walk_shared_subtrees():
+    # f * f shares its operands: a tree of height n has n distinct nodes but
+    # 2^n - 1 root-to-leaf paths, so only a check that reads heights returns.
+    f = parse_expr("s")
+    for _ in range(MAX_DEPTH - 1):
+        f = f * f
+    assert f.height == MAX_DEPTH
+    with pytest.raises(ValueError, match="nested too deeply"):
+        f * f

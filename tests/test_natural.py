@@ -34,7 +34,7 @@ def test_singular_set_off_origin():
 
 def test_singular_set_of_bour_profile(edge_k1):
     profile = natural.BourProfile(edge_k1)
-    roots = natural._singular_set(profile, edge_k1.J)
+    roots = natural.singular_set(profile)
     assert len(roots) == 1
     assert abs(roots[0]) < 1e-9
 
@@ -54,15 +54,17 @@ def test_bour_profile_rates_match_differences(request, fixture_name):
 
 
 @pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
-def test_bour_profile_jets_off_zero(request, fixture_name):
+def test_bour_profile_jets_only_at_zero(request, fixture_name):
     d = request.getfixturevalue(fixture_name)
-    profile = natural.BourProfile(d)
-    xj, zj = profile.jets(0.3, 4)
-    assert xj.order == zj.order == 4
-    assert (xj.value, zj.value) == (bour.x_of_s(d, 0.3), bour.z_of_s(d, 0.3))
-    _, xd, zd = profile.rates(0.3)
-    assert xj.coeffs[1] == pytest.approx(xd, rel=1e-12)
-    assert zj.coeffs[1] == pytest.approx(zd, rel=1e-12)
+    with pytest.raises(ValueError, match="at 0 only"):
+        natural.BourProfile(d).jets(0.3, 4)
+
+
+@pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
+def test_natural_coordinates_of_bour_profile_is_the_roundtrip_chart(request, fixture_name):
+    d = request.getfixturevalue(fixture_name)
+    chart = natural.natural_coordinates(natural.BourProfile(d), 0.0, d.k, n_tab=128)
+    assert chart.to_dict() == natural.roundtrip(d, n_tab=128).chart.to_dict()
 
 
 def test_axis_crossing_rejected():
@@ -82,8 +84,10 @@ def test_check_generic_diagnostics():
 
 
 def test_check_generic_axis_diagnostic():
-    profile = natural.SmoothProfile(parse_expr("s"), parse_expr("1 + s^2"))
-    chk = natural._check_generic(profile, 0.0, 1)
+    # x = s^2 meets the axis only at 0, between the 64 screening samples
+    profile = natural.HelicoidalInput(parse_expr("s^2"), parse_expr("1 + s^2"),
+                                      h=0.1, interval=(-1.0, 1.0))
+    chk = natural.check_generic(profile, 0.0, 1)
     assert not chk.ok
     assert any("axis intersection" in f for f in chk.failures)
 
@@ -91,7 +95,7 @@ def test_check_generic_axis_diagnostic():
 def test_check_generic_passes_on_bour_profile(edge_k1, edge_k2):
     for d in (edge_k1, edge_k2):
         profile = natural.BourProfile(d)
-        chk = natural._check_generic(profile, 0.0, d.k)
+        chk = natural.check_generic(profile, 0.0, d.k)
         assert chk.ok, chk.failures
 
 
@@ -113,7 +117,7 @@ def test_phi_vanishes_for_revolution():
 def test_shear_orthogonality():
     inp = natural.HelicoidalInput(parse_expr("2 + sin(s)"), parse_expr("s^2"),
                                   h=0.3, interval=(-1.0, 1.0))
-    profile = inp.profile
+    profile = inp
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = float(rng.uniform(-1.0, 1.0))
@@ -130,7 +134,7 @@ def test_phi_table_matches_direct_quadrature():
     inp = natural.HelicoidalInput(parse_expr("1 + s^3"), parse_expr("s^2"),
                                   h=0.5, interval=(-0.5, 0.5))
     chart = natural.natural_coordinates(inp, 0.0, 1, n_tab=256)
-    profile = inp.profile
+    profile = inp
 
     def integrand(u):
         x, _, zd = profile.rates(u)
@@ -151,7 +155,7 @@ def test_generic_profile_chart_metric_reproduction():
     inp = natural.HelicoidalInput(parse_expr("1 + s^3 - 0.2*s^4"), parse_expr("s^2 + 0.3*s^3"),
                                   h=0.4, interval=(-0.5, 0.5))
     chart = natural.natural_coordinates(inp, 0.0, 1)
-    profile = inp.profile
+    profile = inp
     for u, s in zip(chart.u_table[::8], chart.s_table[::8]):
         u, s = float(u), float(s)
         if abs(u) < 2e-3 or abs(u) > 0.45:

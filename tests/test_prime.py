@@ -83,7 +83,7 @@ def test_prime_is_built_once_and_prints_to_its_tree():
 def test_smooth_profile_rates_match_sympy():
     u = sp.symbols("s")
     x_text, z_text = "1 + s^2 + sin(s)/3", "s^3 - s*exp(s/2)"
-    profile = natural.SmoothProfile(parse_expr(x_text), parse_expr(z_text))
+    profile = natural.HelicoidalInput(parse_expr(x_text), parse_expr(z_text), h=0.2, interval=(-1.0, 1.0))
     x_sym, z_sym = (sp.sympify(t.replace("^", "**")) for t in (x_text, z_text))
     for base in (-0.6, 0.0, 0.45):
         x, xdot, zdot = profile.rates(base)
