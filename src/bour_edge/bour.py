@@ -12,6 +12,10 @@ The singular curve is s = 0 and the first fundamental form is
 E = s^(2k), F = 0, G = U(s)^2. The integrals are evaluated by adaptive
 Gauss-Kronrod quadrature away from 0 and by term-wise integrated jets inside
 a small band around 0, where tiny integration ranges would otherwise cancel.
+
+Every series at s = 0 is cut from the datum's U and V series:
+``series_at_zero`` builds those of x, z and the theta integral once per datum
+(``EdgeData.series``), and each reader truncates what it needs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,9 +33,8 @@ from ._version import __version__
 from .jets import jet_sin_cos, jet_sqrt, variable_jet
 from .profile import EdgeData, sqrt_at, star_radicand, x_squared
 
-# Pointwise evaluation switches to truncated jets inside this radius.
+# Pointwise evaluation switches to the series at 0 inside this radius.
 NEAR_ZERO_RADIUS = 1e-4
-_NEAR_ZERO_JET_ORDER = 16
 
 # A grid row is marked singular when |s| falls under this threshold.
 SINGULAR_EPS = 1e-13
@@ -112,19 +114,14 @@ def _theta_integrand(data):
     return lambda w: _rates(data, w)[3]
 
 
-def _series(data: EdgeData, order):
-    """Jets at s = 0 of x, z and the theta integral, to the given order; V from its series."""
-    wk = variable_jet(0.0, order) ** data.k
-    x_j, _, zi_j, ti_j = profile_rates(data, wk, data.u_jet(order), data.v_jet.truncated(order),
-                                       jet_sqrt)
-    z_j = (data.eps2 * data.m * zi_j).antiderivative().truncated(order)
-    i_j = ti_j.antiderivative().truncated(order)
-    return x_j, z_j, i_j
+def series_at_zero(data: EdgeData):
+    """Jets at s = 0 of x, z and the theta integral, from the datum's U and V series.
 
-
-# Cached for the invariant oracles and near-zero evaluation. The cache keeps
-# every datum it sees alive, so natural.BourProfile calls _series instead.
-_series_bundle = lru_cache(maxsize=256)(_series)
+    x keeps U's order; the integrals keep V's order plus one.
+    """
+    wk = variable_jet(0.0, data.u_jet.order) ** data.k
+    x_j, _, zi_j, ti_j = profile_rates(data, wk, data.u_jet, data.v_jet, jet_sqrt)
+    return x_j, (data.eps2 * data.m * zi_j).antiderivative(), ti_j.antiderivative()
 
 
 def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):
@@ -134,8 +131,7 @@ def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if abs(s) < NEAR_ZERO_RADIUS:
-        z_j = _series_bundle(data, _NEAR_ZERO_JET_ORDER)[1]
-        return z_j(s)
+        return data.series[1](s)
     val, _ = quadrature.integrate(_z_integrand(data), 0.0, s, tol / data.m)
     return data.eps2 * data.m * val
 
@@ -149,8 +145,7 @@ def _theta_integral(data: EdgeData, s, tol):
     if s == 0.0 or data.h == 0.0:
         return 0.0
     if abs(s) < NEAR_ZERO_RADIUS:
-        i_j = _series_bundle(data, _NEAR_ZERO_JET_ORDER)[2]
-        return i_j(s)
+        return data.series[2](s)
     tol_int = tol * data.m / max(abs(data.h), 1.0)
     val, _ = quadrature.integrate(_theta_integrand(data), 0.0, s, tol_int)
     return val
@@ -195,14 +190,10 @@ def psi_jet_at_zero(data: EdgeData, t, order):
 
     Computed by term-wise integration of the integrand jets; no quadrature.
     """
-    work = order + 2
-    x_j, z_j, i_j = _series_bundle(data, work)
+    x_j, z_j, i_j = (j.truncated(order) for j in data.series)
     theta_j = _theta_from(data, t, i_j)
     sin_j, cos_j = jet_sin_cos(theta_j)
-    p1 = x_j * cos_j
-    p2 = x_j * sin_j
-    p3 = z_j + data.h * theta_j
-    return p1.truncated(order), p2.truncated(order), p3.truncated(order)
+    return x_j * cos_j, x_j * sin_j, z_j + data.h * theta_j
 
 
 def first_fundamental_form(data: EdgeData, s, t):

@@ -49,6 +49,9 @@ def _add_datum_flags(p):
 def _add_common_flags(p):
     p.add_argument("--out", help="output directory for artifacts")
     p.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
+
+
+def _add_quad_tol(p):
     p.add_argument("--quad-tol", type=float, default=1e-12)
 
 
@@ -64,6 +67,7 @@ def make_parser():
     p = sub.add_parser("build", help="sample the surface and write OBJ/CSV")
     _add_datum_flags(p)
     _add_common_flags(p)
+    _add_quad_tol(p)
     p.add_argument("--rows", type=int, default=60)
     p.add_argument("--cols", type=int, default=60)
     p.add_argument("--s-range", type=float, nargs=2, metavar=("LO", "HI"))
@@ -81,6 +85,7 @@ def make_parser():
     p = sub.add_parser("deform", help="(h, m) validity grid with shared-metric checks")
     _add_datum_flags(p)
     _add_common_flags(p)
+    _add_quad_tol(p)
     p.add_argument("--h-span", type=float, default=0.1)
     p.add_argument("--m-span", type=float, default=0.1)
     p.add_argument("--nh", type=int, default=5)
@@ -97,12 +102,14 @@ def make_parser():
     p = sub.add_parser("isomers", help="the four sign variants and their shared invariants")
     _add_datum_flags(p)
     _add_common_flags(p)
+    _add_quad_tol(p)
     p.add_argument("--rows", type=int, default=40)
     p.add_argument("--cols", type=int, default=40)
 
     p = sub.add_parser("roundtrip", help="rebuild natural coordinates from the surface")
     _add_datum_flags(p)
     _add_common_flags(p)
+    _add_quad_tol(p)
     p.add_argument("--s-probe", type=float, nargs=3, metavar=("LO", "HI", "N"),
                    help="probe range and count for the U comparison")
 
@@ -141,12 +148,13 @@ def _datum_payload(args):
 
 def _build_datum(args):
     payload = _datum_payload(args)
-    if isinstance(payload["U"], str):
-        # parsed first, so a bad U is reported before any other bad field
-        try:
-            payload["U"] = parse_expr(payload["U"])
-        except ExprSyntaxError as exc:
-            raise UsageError(f"bad expression for U: {exc}") from exc
+    # parsed first, so a bad U is reported before any other bad field
+    if not isinstance(payload["U"], str):
+        raise UsageError(f"bad expression for U: {payload['U']!r} is not a string")
+    try:
+        payload["U"] = parse_expr(payload["U"])
+    except ExprSyntaxError as exc:
+        raise UsageError(f"bad expression for U: {exc}") from exc
     return datum_from_dict(payload, zero_tol=args.zero_tol, samples=args.samples)
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import bour
 from .errors import NotDiffeo, UnsupportedK, WrongMultiplicity
 from .expr import SmoothFn
 from .jets import (
@@ -310,8 +309,7 @@ def classify_edge(data: EdgeData, tol=DEFAULT_TOL) -> CuspType:
     """Edge type of a datum from the U-derivatives at 0 (k in {1, 2})."""
     if data.k not in _EDGE_RULES:
         raise UnsupportedK(f"edge classification is only available for k in (1, 2), got {data.k}")
-    u_jet = data.u_jet(8)
-    derivs = {j: u_jet.derivative_value(j) for j in range(8)}
+    derivs = {j: data.u_jet.derivative_value(j) for j in range(8)}
     scale = max(max(abs(v) for v in derivs.values()), 1e-300)
     witnesses = {}
     for order, tag in _EDGE_RULES[data.k]:
@@ -324,8 +322,8 @@ def classify_edge(data: EdgeData, tol=DEFAULT_TOL) -> CuspType:
 
 def profile_curve_jet(data: EdgeData, order=7) -> PlaneCurveJet:
     """Jet at s = 0 of the profile curve (x(s), z(s)) of the datum."""
-    x_j, z_j, _ = bour._series_bundle(data, order)
-    return PlaneCurveJet(x_j, z_j)
+    x_j, z_j, _ = data.series
+    return PlaneCurveJet(x_j.truncated(order), z_j.truncated(order))
 
 
 def classify_edge_via_profile(data: EdgeData, tol=DEFAULT_TOL) -> CuspType:

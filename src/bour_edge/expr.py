@@ -299,11 +299,13 @@ def compile_tree(root, ops):
     walk's first error. + - * and unary minus are Python operators; / ^ sin
     cos exp sqrt call the backend's guarded functions. Literals reach the
     code only as names bound in its namespace, and overflow is a DomainError.
+    A node shared by several parents is emitted once.
     """
     env = {"_div": ops.div, "_pow": ops.pow, "_sin": ops.sin, "_cos": ops.cos,
            "_exp": ops.exp, "_sqrt": ops.sqrt, "_const": ops.const, "_DomainError": DomainError}
     literals = {}
     temps = {}  # right-hand side -> the temporary that holds it
+    names = {}  # id of an emitted node -> the name that holds its value
     lines = []
 
     def literal(value):
@@ -320,22 +322,29 @@ def compile_tree(root, ops):
         return temps[rhs]
 
     def emit(node):
+        key = id(node)
+        if key in names:
+            return names[key]
         kind = type(node)
         if kind is BinOp:
             a, b = emit(node.left), emit(node.right)
-            return bind(_BINARY[node.op].format(a, b))
-        if kind is Var:
-            return "x"
-        if kind is Const:
+            name = bind(_BINARY[node.op].format(a, b))
+        elif kind is Var:
+            name = "x"
+        elif kind is Const:
             name = literal(node.value)
-            return name if ops.const is None else bind(f"_const({name}, x)")
-        if kind is IntPow:
-            return bind(f"_pow({emit(node.base)}, {literal(node.exponent)})")
-        if kind is Call and node.fn in _FUNCTIONS:
-            return bind(f"_{node.fn}({emit(node.arg)})")
-        if kind is Neg:
-            return bind(f"-{emit(node.arg)}")
-        raise TypeError(f"unknown node {node!r}")
+            if ops.const is not None:
+                name = bind(f"_const({name}, x)")
+        elif kind is IntPow:
+            name = bind(f"_pow({emit(node.base)}, {literal(node.exponent)})")
+        elif kind is Call and node.fn in _FUNCTIONS:
+            name = bind(f"_{node.fn}({emit(node.arg)})")
+        elif kind is Neg:
+            name = bind(f"-{emit(node.arg)}")
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        names[key] = name
+        return name
 
     result = emit(root)
     source = "\n".join([
@@ -382,47 +391,62 @@ def differentiate(node):
     refused where the jet is: d(a/b) = (da - (a/b) db)/b divides by b, a
     negative power d(g^n) = n (g^n/g) dg divides by g^|n| and g only, and
     d(sqrt g) = dg/(2 sqrt g) is never folded, so its divisor is checked even
-    when dg is 0.
+    when dg is 0. A node shared by several parents is differentiated once,
+    and its derivative is shared too.
     """
+    return _differentiate(node, {})
+
+
+def _differentiate(node, memo):
+    """d(node)/dx; ``memo`` maps the id of each node done so far to its derivative."""
+    key = id(node)
+    if key in memo:
+        return memo[key]
     kind = type(node)
     if kind is Const:
-        return _ZERO
-    if kind is Var:
-        return _ONE
-    if kind is Neg:
-        return _neg(differentiate(node.arg))
-    if kind is BinOp:
+        d = _ZERO
+    elif kind is Var:
+        d = _ONE
+    elif kind is Neg:
+        d = _neg(_differentiate(node.arg, memo))
+    elif kind is BinOp:
         a, b = node.left, node.right
-        da, db = differentiate(a), differentiate(b)
+        da, db = _differentiate(a, memo), _differentiate(b, memo)
         if node.op == "+":
-            return _add(da, db)
-        if node.op == "-":
-            return _sub(da, db)
-        if node.op == "*":
-            return _add(_scale(db, a), _scale(da, b))
-        num = _sub(da, _scale(db, node))
-        return _ZERO if num == _ZERO else BinOp("/", num, b)
-    if kind is IntPow:
+            d = _add(da, db)
+        elif node.op == "-":
+            d = _sub(da, db)
+        elif node.op == "*":
+            d = _add(_scale(db, a), _scale(da, b))
+        else:
+            num = _sub(da, _scale(db, node))
+            d = _ZERO if num == _ZERO else BinOp("/", num, b)
+    elif kind is IntPow:
         g, n = node.base, node.exponent
-        dg = differentiate(g)
+        dg = _differentiate(g, memo)
         if n == 1 or dg == _ZERO:
-            return dg
-        if n == 0:
-            return _scale(dg, _ZERO)
-        if n < 0:
-            return _neg(_scale(dg, BinOp("*", Const(float(-n)), BinOp("/", node, g))))
-        return _scale(dg, BinOp("*", Const(float(n)), g if n == 2 else IntPow(g, n - 1)))
-    if kind is Call:
+            d = dg
+        elif n == 0:
+            d = _scale(dg, _ZERO)
+        elif n < 0:
+            d = _neg(_scale(dg, BinOp("*", Const(float(-n)), BinOp("/", node, g))))
+        else:
+            d = _scale(dg, BinOp("*", Const(float(n)), g if n == 2 else IntPow(g, n - 1)))
+    elif kind is Call:
         g = node.arg
-        dg = differentiate(g)
+        dg = _differentiate(g, memo)
         if node.fn == "sqrt":
-            return BinOp("/", dg, BinOp("*", Const(2.0), node))
-        if node.fn == "sin":
-            return _scale(dg, Call("cos", g))
-        if node.fn == "cos":
-            return _neg(_scale(dg, Call("sin", g)))
-        return _scale(dg, node)
-    raise TypeError(f"unknown node {node!r}")
+            d = BinOp("/", dg, BinOp("*", Const(2.0), node))
+        elif node.fn == "sin":
+            d = _scale(dg, Call("cos", g))
+        elif node.fn == "cos":
+            d = _neg(_scale(dg, Call("sin", g)))
+        else:
+            d = _scale(dg, node)
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    memo[key] = d
+    return d
 
 
 # Precedence levels used by the printer; parentheses are emitted whenever a

@@ -143,7 +143,7 @@ def _ladder(data):
     """The jet of U at 0 to order 2n, and the first rung j of the omega ladder
     whose U^(n+j)(0) does not vanish within tolerance (n when none, 1 <= j < n)."""
     n = data.n
-    u_jet = data.u_jet(2 * n)
+    u_jet = data.u_jet.truncated(2 * n)
     band = _ladder_band(data)
     for j in range(1, n):
         if abs(u_jet.derivative_value(n + j)) > band:

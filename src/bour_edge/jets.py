@@ -251,7 +251,8 @@ def jet_invert(f):
 
     Requires f'(base) != 0. Coefficients are fixed one order at a time:
     appending b_m to g changes f(g) by f'(base) * b_m * (y-y0)^m + higher,
-    so each residual coefficient determines the next b_m.
+    so each residual coefficient determines the next b_m. That coefficient
+    needs the composition to order m only.
     """
     n = f.order
     if n < 1 or abs(f.coeffs[1]) < DIV_FLOOR:
@@ -259,7 +260,7 @@ def jet_invert(f):
     y0 = f.coeffs[0]
     b = [f.base, 1.0 / f.coeffs[1]] + [0.0] * (n - 1)
     for m in range(2, n + 1):
-        comp = jet_compose(f, Jet(y0, tuple(b)))
+        comp = jet_compose(f.truncated(m), Jet(y0, tuple(b)))
         b[m] = -comp.coeffs[m] / f.coeffs[1]
     return Jet(y0, tuple(b))
 

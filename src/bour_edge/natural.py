@@ -97,7 +97,7 @@ class BourProfile:
     def jets(self, u0, order):
         if u0 != 0.0:
             raise ValueError("Bour profiles carry jets at 0 only")
-        return bour._series(self.data, order)[:2]
+        return tuple(j.truncated(order) for j in self.data.series[:2])
 
 
 class ReparamProfile:

@@ -7,6 +7,11 @@ at 0 (so U'(s) = s^k V(s) for a smooth V), and the radicand
 
 stays strictly positive on J (the "star" condition). V is recovered from the
 jet of U' near 0 and from the direct quotient U'(s)/s^k away from 0.
+
+A datum carries U's Taylor series at 0 (``u_jet``), evaluated once by
+``make_edge_data`` at an order chosen from k, and V's series cut from it.
+Every series at s = 0 is cut from these two; ``EdgeData.series`` holds those
+of x, z and the theta integral, built on first use and freed with the datum.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ from .errors import (
     StarViolation,
 )
 from .expr import SmoothFn, parse_expr
-from .jets import Jet, jet_divide_by_power, jet_eval
+from .jets import MAX_ORDER, Jet, jet_divide_by_power, jet_eval
 
 # Inside this radius V is evaluated from its jet at 0; the direct quotient
 # U'(s)/s^k loses about k digits there.
 V_SWITCH_RADIUS = 1e-3
-V_JET_ORDER = 12
 
 DEFAULT_STAR_SAMPLES = 1024
 _BISECT_WIDTH = 1e-10
@@ -45,9 +49,11 @@ class EdgeData:
     eps2: int
     k: int
     J: tuple
-    v_jet: Jet = field(compare=False, default=None)
+    u_jet: Jet = field(compare=False, default=None)  # U's series at 0
+    v_jet: Jet = field(compare=False, default=None)  # V's, cut from u_jet
     # The least rho^2 of make_edge_data's star scan; None on a replace() sibling.
     _rho_min: float = field(compare=False, default=None, repr=False)
+    _series: tuple = field(compare=False, default=None, repr=False)
 
     @property
     def n(self):
@@ -56,19 +62,29 @@ class EdgeData:
     def u_value(self, s):
         return self.U(s)
 
-    def u_jet(self, order):
-        return jet_eval(self.U, 0.0, order)
-
     def v_value(self, s):
         if abs(s) < V_SWITCH_RADIUS:
             return self.v_jet(s)
         return self.U.prime(s) / s**self.k
 
+    @property
+    def series(self):
+        """Jets at 0 of x, z and the theta integral (``bour.series_at_zero``), built once.
+
+        Kept in a field, not by cached_property: writing to ``__dict__`` would
+        slow every later attribute read of the datum.
+        """
+        if self._series is None:
+            from .bour import series_at_zero  # bour imports this module
+
+            object.__setattr__(self, "_series", series_at_zero(self))
+        return self._series
+
     def replace(self, **kwargs):
         """A sibling datum sharing U, k, J; signs/parameters overridden."""
         fields = dict(
             U=self.U, h=self.h, m=self.m, eps0=self.eps0, eps1=self.eps1,
-            eps2=self.eps2, k=self.k, J=self.J, v_jet=self.v_jet,
+            eps2=self.eps2, k=self.k, J=self.J, u_jet=self.u_jet, v_jet=self.v_jet,
         )
         fields.update(kwargs)
         return EdgeData(**fields)
@@ -199,7 +215,9 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
     if not (lo <= 0.0 <= hi) or lo >= hi:
         raise ValueError(f"J must be an interval containing 0, got {J!r}")
 
-    u_jet = jet_eval(U, 0.0, V_JET_ORDER + k + 1)
+    # The natural chart needs z to order 2k + 13, and z keeps k orders fewer
+    # than U (V loses k + 1 of them, the antiderivative gives one back).
+    u_jet = jet_eval(U, 0.0, min(3 * k + 13, MAX_ORDER))
     u0 = u_jet.coeffs[0]
     if not u0 > 0.0:
         raise NonPositiveU(f"U(0) = {u0!r} is not positive")
@@ -213,7 +231,7 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
     v_jet = jet_divide_by_power(u_jet.differentiate(), k, tol=None)
 
     data = EdgeData(U=U, h=h, m=m, eps0=eps0, eps1=eps1, eps2=eps2,
-                    k=int(k), J=(lo, hi), v_jet=v_jet)
+                    k=int(k), J=(lo, hi), u_jet=u_jet, v_jet=v_jet)
 
     report = check_star(data, samples)
     if not report.star_ok:

@@ -77,3 +77,13 @@ def ladder_data():
         make_edge_data("1.1 + 0.2*s^6", h=0.2, m=1.1, eps0=-1, eps1=1, eps2=-1,
                        k=2, J=(-0.5, 0.5)),
     ]
+
+
+@pytest.fixture(scope="session")
+def high_k_data():
+    """Generic data for k = 3..7: U = 1 + (0.2/(k+1)) s^(k+1) + 0.01 s^(2k+2), so V(0) = 0.2."""
+    return {
+        k: make_edge_data(f"1 + {0.2 / (k + 1)!r}*s^{k + 1} + 0.01*s^{2 * k + 2}", h=0.1, m=1.0,
+                          eps0=1, eps1=1, eps2=1, k=k, J=(-0.4, 0.4))
+        for k in range(3, 8)
+    }

@@ -1,10 +1,12 @@
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from bour_edge import bour, quadrature
+from bour_edge import bour, cusps, invariants, quadrature
 from bour_edge.errors import NegativeRadicand
 from bour_edge.profile import make_edge_data
 
@@ -272,3 +274,39 @@ def test_form_csv_layout(edge_k1, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[4]) == pytest.approx(edge_k1.u_value(0.0) ** 2)
+
+
+def _readme_datum():
+    return make_edge_data("1 - s*cos(s) + sin(s)", h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1,
+                          k=1, J=(-0.8, 0.8), samples=64)
+
+
+def _use_series(d):
+    invariants.compute_invariant_report(d)
+    cusps.classify_edge_via_profile(d)
+    bour.z_of_s(d, 5e-5)
+
+
+def test_a_used_datum_is_freed():
+    d = _readme_datum()
+    _use_series(d)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_series_at_zero_is_cut_from_the_datum(monkeypatch):
+    d = _readme_datum()
+    jet_calls, series_calls = [], []
+    jet_fn = d.U.jet_fn
+    d.U.__dict__["jet_fn"] = lambda x: jet_calls.append(x.order) or jet_fn(x)
+    series_at_zero = bour.series_at_zero
+    monkeypatch.setattr(bour, "series_at_zero", lambda data: series_calls.append(1) or series_at_zero(data))
+    _use_series(d)
+    assert jet_calls == []
+    assert series_calls == [1]
+    assert d.series[0].order == d.u_jet.order == 3 * d.k + 13
+    assert d.series[1].order == d.v_jet.order + 1 == 2 * d.k + 13
+    d.replace(h=0.1).series  # a sibling builds its own
+    assert series_calls == [1, 1]

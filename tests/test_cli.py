@@ -268,3 +268,39 @@ def test_validate_scans_the_star_grid_once(capsys, monkeypatch, datum_file):
     assert code == 0
     assert json.loads(out)["star_ok"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("U", [1, ["1"], None], ids=["int", "list", "null"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_non_string_U_in_a_datum_file_is_usage_error(capsys, tmp_path, U, as_json):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(dict(EDGE_K1, U=U, h="not a number")))
+    code, out, err = run_cli(capsys, "validate", "--datum", str(path), *(["--json"] if as_json else []))
+    assert code == 2
+    assert out == ""
+    message = f"bad expression for U: {U!r} is not a string"
+    if as_json:
+        assert json.loads(err) == {"error": "UsageError", "message": message, "exit_code": 2}
+    else:
+        assert err == f"bour-edge: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "classify", "invert", "classify-curve"])
+def test_quad_tol_is_refused_where_it_is_not_read(capsys, datum_file, command):
+    args = {"invert": ["--datum", datum_file, "--target-kappa-nu", "0.95", "--target-kappa-t", "0.1"],
+            "classify-curve": ["--expr-x", "s^2", "--expr-y", "s^7"]}.get(command, ["--datum", datum_file])
+    assert run_cli(capsys, command, *args)[0] == 0
+    code, out, err = run_cli(capsys, command, *args, "--quad-tol", "1e-10")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --quad-tol 1e-10" in err
+
+
+def test_quad_tol_reaches_the_roundtrip(capsys, datum_file, monkeypatch):
+    from bour_edge import natural
+    seen = []
+    roundtrip = natural.roundtrip
+    monkeypatch.setattr(natural, "roundtrip", lambda *a, **kw: seen.append(kw["quad_tol"]) or roundtrip(*a, **kw))
+    code, _, _ = run_cli(capsys, "roundtrip", "--datum", datum_file, "--quad-tol", "1e-10")
+    assert code == 0
+    assert seen == [1e-10]

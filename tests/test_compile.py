@@ -10,7 +10,7 @@ from test_jets import _expr_strategy
 from tree_walk import walk_eval
 
 from bour_edge.errors import ExprSyntaxError
-from bour_edge.expr import FLOAT, MAX_DEPTH, parse_expr
+from bour_edge.expr import FLOAT, MAX_DEPTH, differentiate, parse_expr
 from bour_edge.jets import JET, jet_eval, variable_jet
 
 
@@ -164,3 +164,35 @@ def test_arithmetic_height_check_does_not_walk_shared_subtrees():
     assert f.height == MAX_DEPTH
     with pytest.raises(ValueError, match="nested too deeply"):
         f * f
+
+
+def _distinct_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, name) for name in ("arg", "left", "right", "base")
+                         if hasattr(node, name))
+    return len(seen)
+
+
+def _squared(n):
+    f = parse_expr("s")
+    for _ in range(n):
+        f = f * f
+    return f
+
+
+def test_differentiate_shares_the_derivative_of_a_shared_subtree():
+    n = 12
+    f = _squared(n)
+    assert _distinct_nodes(f.root) == n + 1
+    assert _distinct_nodes(differentiate(f.root)) <= 5 * n
+
+
+def test_compiled_squaring_chain_is_linear_in_its_height():
+    # s^(2^40) by 40 squarings: 2^40 root-to-leaf paths, 41 distinct nodes
+    f = _squared(40)
+    assert f(1.0) == 1.0
+    assert f.prime(1.0) == 2.0**40

@@ -127,7 +127,7 @@ def test_beta_requires_vanishing_ladder(edge_k1):
 def test_beta_h_zero_case(ladder_data):
     d = ladder_data[1]  # k=1, h=0, U = 1.2 + 0.3 s^4 - ...
     u0 = d.u_value(0.0)
-    u4 = d.u_jet(4).derivative_value(4)
+    u4 = d.u_jet.truncated(4).derivative_value(4)
     expected = d.eps1 * d.eps2 * d.m**2 * u0 * u4 / rho(d, 0.0)
     assert inv.beta(d) == pytest.approx(expected, rel=1e-12)
 
@@ -152,7 +152,7 @@ def test_corpus_oracle_agreement(corpus, edge_k1, edge_k2):
 def test_front_criterion(corpus, ladder_data):
     # omega_{n,n+1} != 0 iff U^(n+1)(0) != 0
     for d in list(corpus) + list(ladder_data):
-        u_n1 = d.u_jet(d.n + 1).derivative_value(d.n + 1)
+        u_n1 = d.u_jet.truncated(d.n + 1).derivative_value(d.n + 1)
         value = inv.omega(d, 1)
         band = 1e-9 * max(1.0, abs(d.u_value(0.0)))
         if abs(u_n1) > band:
@@ -195,3 +195,11 @@ def test_invariants_t_independent(edge_k1, edge_k2):
         assert len(values_nu) == 1
         values_t = [inv.kappa_t_numeric(d, t) for t in (0.0, 1.0, 2.0)]
         assert max(values_t) - min(values_t) < 1e-9
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_invariant_report_for_higher_k(high_k_data, k):
+    # omega_(n,n+i) and beta read s-derivatives up to 2n = 2k + 2 from the series at 0
+    report = inv.compute_invariant_report(high_k_data[k])
+    assert len(report.omegas) == k and report.beta is not None
+    assert report.max_discrepancy < 1e-6

@@ -235,3 +235,11 @@ def test_natural_coordinates_requires_genericity():
                                   h=0.4, interval=(-1.0, 1.0))
     with pytest.raises(ValueError, match="generic"):
         natural.natural_coordinates(inp, 0.0, 1)
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_roundtrip_for_higher_k(high_k_data, k):
+    # the chart reads x and z to order 2k + 13 from the series at 0
+    report = natural.roundtrip(high_k_data[k], n_tab=384)
+    assert report.sup_error_U < 1e-6
+    assert report.sup_error_metric < 1e-6
