@@ -30,7 +30,7 @@ import numpy as np
 from . import quadrature
 from ._fmt import fmt17
 from ._version import __version__
-from .jets import jet_sin_cos, jet_sqrt, variable_jet
+from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
 from .profile import EdgeData, sqrt_at, star_radicand, x_squared
 
 # Pointwise evaluation switches to the series at 0 inside this radius.
@@ -190,6 +190,8 @@ def psi_jet_at_zero(data: EdgeData, t, order):
 
     Computed by term-wise integration of the integrand jets; no quadrature.
     """
+    require_order(order, min(j.order for j in data.series),
+                  f"the s-derivatives of Psi at k = {data.k} need the x, z and theta series")
     x_j, z_j, i_j = (j.truncated(order) for j in data.series)
     theta_j = _theta_from(data, t, i_j)
     sin_j, cos_j = jet_sin_cos(theta_j)

@@ -19,7 +19,7 @@ from . import bour, cusps, deform, invariants, natural
 from ._fmt import to_json17
 from .errors import BourEdgeError, ExprSyntaxError
 from .expr import parse_expr
-from .profile import datum_from_dict
+from .profile import DATUM_FIELDS, datum_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -30,62 +30,53 @@ class UsageError(Exception):
     pass
 
 
-def _add_datum_flags(p):
-    p.add_argument("--datum", help="path to a datum JSON file")
-    p.add_argument("--U", help="metric function expression in s (overrides file)")
-    p.add_argument("--h", type=float, help="pitch (overrides file)")
-    p.add_argument("--m", type=float, help="homothety parameter (overrides file)")
-    p.add_argument("--eps0", type=int, choices=(-1, 1))
-    p.add_argument("--eps1", type=int, choices=(-1, 1))
-    p.add_argument("--eps2", type=int, choices=(-1, 1))
-    p.add_argument("--k", type=int, help="edge order parameter (n = k+1)")
-    p.add_argument("--J", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--zero-tol", type=float, default=None,
-                   help="tolerance for the vanishing-derivative checks (default 1e-9)")
-    p.add_argument("--samples", type=int, default=1024,
-                   help="grid density for the admissibility scan")
-
-
-def _add_common_flags(p):
-    p.add_argument("--out", help="output directory for artifacts")
-    p.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
-
-
-def _add_quad_tol(p):
-    p.add_argument("--quad-tol", type=float, default=1e-12)
-
-
 def make_parser():
+    datum = argparse.ArgumentParser(add_help=False)
+    datum.add_argument("--datum", help="path to a datum JSON file")
+    datum.add_argument("--U", help="metric function expression in s (overrides file)")
+    datum.add_argument("--h", type=float, help="pitch (overrides file)")
+    datum.add_argument("--m", type=float, help="homothety parameter (overrides file)")
+    datum.add_argument("--eps0", type=int, choices=(-1, 1))
+    datum.add_argument("--eps1", type=int, choices=(-1, 1))
+    datum.add_argument("--eps2", type=int, choices=(-1, 1))
+    datum.add_argument("--k", type=int, help="edge order parameter (n = k+1)")
+    datum.add_argument("--J", type=float, nargs=2, metavar=("LO", "HI"))
+    datum.add_argument("--zero-tol", type=float, default=None,
+                       help="tolerance for the vanishing-derivative checks (default 1e-9)")
+    datum.add_argument("--samples", type=int, default=1024,
+                       help="grid density for the admissibility scan")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="output directory for artifacts")
+    common.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--quad-tol", type=float, default=1e-12)
+
     parser = argparse.ArgumentParser(prog="bour-edge",
                                      description="singular helicoidal surface toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check datum admissibility")
-    _add_datum_flags(p)
-    _add_common_flags(p)
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("build", help="sample the surface and write OBJ/CSV")
-    _add_datum_flags(p)
-    _add_common_flags(p)
-    _add_quad_tol(p)
+    command("validate", cmd_validate, "check datum admissibility", datum, common)
+
+    p = command("build", cmd_build, "sample the surface and write OBJ/CSV", datum, common, quad)
     p.add_argument("--rows", type=int, default=60)
     p.add_argument("--cols", type=int, default=60)
     p.add_argument("--s-range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--t-range", type=float, nargs=2, metavar=("LO", "HI"))
 
-    p = sub.add_parser("invariants", help="invariant report (closed forms vs oracles)")
-    _add_datum_flags(p)
-    _add_common_flags(p)
+    command("invariants", cmd_invariants, "invariant report (closed forms vs oracles)",
+            datum, common)
 
-    p = sub.add_parser("classify", help="edge type, with profile-curve cross-check")
-    _add_datum_flags(p)
-    _add_common_flags(p)
+    p = command("classify", cmd_classify, "edge type, with profile-curve cross-check",
+                datum, common)
     p.add_argument("--tol", type=float, default=cusps.DEFAULT_TOL)
 
-    p = sub.add_parser("deform", help="(h, m) validity grid with shared-metric checks")
-    _add_datum_flags(p)
-    _add_common_flags(p)
-    _add_quad_tol(p)
+    p = command("deform", cmd_deform, "(h, m) validity grid with shared-metric checks",
+                datum, common, quad)
     p.add_argument("--h-span", type=float, default=0.1)
     p.add_argument("--m-span", type=float, default=0.1)
     p.add_argument("--nh", type=int, default=5)
@@ -93,28 +84,21 @@ def make_parser():
     p.add_argument("--rows", type=int, default=40)
     p.add_argument("--cols", type=int, default=40)
 
-    p = sub.add_parser("invert", help="recover (h, m) from target invariants")
-    _add_datum_flags(p)
-    _add_common_flags(p)
+    p = command("invert", cmd_invert, "recover (h, m) from target invariants", datum, common)
     p.add_argument("--target-kappa-nu", type=float, required=True)
     p.add_argument("--target-kappa-t", type=float, required=True)
 
-    p = sub.add_parser("isomers", help="the four sign variants and their shared invariants")
-    _add_datum_flags(p)
-    _add_common_flags(p)
-    _add_quad_tol(p)
+    p = command("isomers", cmd_isomers, "the four sign variants and their shared invariants",
+                datum, common, quad)
     p.add_argument("--rows", type=int, default=40)
     p.add_argument("--cols", type=int, default=40)
 
-    p = sub.add_parser("roundtrip", help="rebuild natural coordinates from the surface")
-    _add_datum_flags(p)
-    _add_common_flags(p)
-    _add_quad_tol(p)
+    p = command("roundtrip", cmd_roundtrip, "rebuild natural coordinates from the surface",
+                datum, common, quad)
     p.add_argument("--s-probe", type=float, nargs=3, metavar=("LO", "HI", "N"),
                    help="probe range and count for the U comparison")
 
-    p = sub.add_parser("classify-curve", help="cusp type of a plane curve")
-    _add_common_flags(p)
+    p = command("classify-curve", cmd_classify_curve, "cusp type of a plane curve", common)
     p.add_argument("--expr-x", required=True)
     p.add_argument("--expr-y", required=True)
     p.add_argument("--base", type=float, default=0.0)
@@ -132,15 +116,11 @@ def _datum_payload(args):
             raise UsageError(f"datum file not found: {args.datum}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"datum file is not valid JSON: {exc}") from exc
-    overrides = {
-        "U": args.U, "h": args.h, "m": args.m, "eps0": args.eps0,
-        "eps1": args.eps1, "eps2": args.eps2, "k": args.k,
-        "J": list(args.J) if args.J is not None else None,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            payload[key] = value
-    missing = [key for key in ("U", "h", "m", "eps0", "eps1", "eps2", "k", "J") if key not in payload]
+        if not isinstance(payload, dict):
+            raise UsageError(f"datum file is not a JSON object: {args.datum}")
+    # flags override file fields; the values are checked by make_edge_data
+    payload.update((key, getattr(args, key)) for key in DATUM_FIELDS if getattr(args, key) is not None)
+    missing = [key for key in DATUM_FIELDS if key not in payload]
     if missing:
         raise UsageError(f"datum is incomplete; missing fields: {', '.join(missing)}")
     return payload
@@ -277,11 +257,13 @@ def cmd_isomers(args):
 
 
 def cmd_roundtrip(args):
-    data = _build_datum(args)
     probe = None
     if args.s_probe:
         lo, hi, count = args.s_probe
+        if not (count >= 1 and count.is_integer()):
+            raise UsageError(f"--s-probe count must be a positive integer, got {count:g}")
         probe = np.linspace(lo, hi, int(count))
+    data = _build_datum(args)
     report = natural.roundtrip(data, s_probe=probe, quad_tol=args.quad_tol)
     _emit(report.to_dict(), args, "roundtrip.json")
     if args.out:
@@ -302,19 +284,6 @@ def cmd_classify_curve(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "build": cmd_build,
-    "invariants": cmd_invariants,
-    "classify": cmd_classify,
-    "deform": cmd_deform,
-    "invert": cmd_invert,
-    "isomers": cmd_isomers,
-    "roundtrip": cmd_roundtrip,
-    "classify-curve": cmd_classify_curve,
-}
-
-
 def _report_error(args, code, exc):
     if args is not None and getattr(args, "json", False):
         doc = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
@@ -331,7 +300,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (UsageError, ValueError) as exc:
         return _report_error(args, EXIT_USAGE, exc)
     except BourEdgeError as exc:

@@ -20,7 +20,7 @@ from . import bour, cusps, invariants
 from ._fmt import fmt17
 from .errors import BourEdgeError, DomainError, NoConvergence, StarViolation
 from .jets import jet_sqrt, variable_jet
-from .profile import EdgeData, make_edge_data, rho, sqrt_at
+from .profile import EdgeData, rho, sibling, sqrt_at
 
 METRIC_SAMPLE_COUNT = 50
 METRIC_SEED = 20260809
@@ -64,13 +64,6 @@ def metric_deviation(a: EdgeData, b: EdgeData, points=None):
     return worst
 
 
-def _sibling(data, h, m):
-    return make_edge_data(
-        U=data.U, h=h, m=m, eps0=data.eps0, eps1=data.eps1, eps2=data.eps2,
-        k=data.k, J=data.J,
-    )
-
-
 def deformation_family(data: EdgeData, h_span, m_span, nh, nm) -> DeformationFamily:
     """Validity grid of (h, m) around the base, with metric checks.
 
@@ -84,7 +77,7 @@ def deformation_family(data: EdgeData, h_span, m_span, nh, nm) -> DeformationFam
     for h in hs:
         for m in ms:
             try:
-                member = _sibling(data, float(h), float(m))
+                member = sibling(data, float(h), float(m))
             except BourEdgeError:
                 members.append(FamilyMember(float(h), float(m), False, None, None))
                 continue
@@ -154,7 +147,7 @@ def invert_invariants(data0: EdgeData, target, tol=1e-12, max_iterations=50) -> 
     for iteration in range(max_iterations):
         residual = psi - target
         if float(np.max(np.abs(residual))) < tol:
-            solved = _sibling(data0, h, m)  # re-validates the star condition on J
+            solved = sibling(data0, h, m)  # re-checks the star condition on J
             return InversionResult(h=h, m=m, data=solved, iterations=iteration,
                                    residual=float(np.max(np.abs(residual))))
         step = np.linalg.solve(jac, -residual)
@@ -219,7 +212,7 @@ def revolution_path(data: EdgeData, steps) -> list:
         raise ValueError("steps must be at least 2")
     out = []
     for h in np.linspace(data.h, 0.0, steps):
-        out.append(_sibling(data, float(h), data.m))
+        out.append(sibling(data, float(h), data.m))
     return out
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bour import psi_jet_at_zero, x_of_s
 from .errors import LadderViolated
+from .jets import require_order
 from .profile import EdgeData, rho, sqrt_at, star_radicand
 
 LADDER_TOL = 1e-9
@@ -146,6 +147,7 @@ def _ladder(data):
     u_jet = data.u_jet.truncated(2 * n)
     band = _ladder_band(data)
     for j in range(1, n):
+        require_order(n + j, u_jet.order, f"the omega ladder at k = {data.k} needs U's series")
         if abs(u_jet.derivative_value(n + j)) > band:
             return u_jet, j
     return u_jet, n

@@ -33,6 +33,17 @@ def _check_order(order):
         raise ValueError(f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
 
 
+def require_order(needed, carried, needs):
+    """ValueError unless series carried to order ``carried`` reach ``needed``.
+
+    ``needs`` says who needs which series, as in "the natural chart at k = 8
+    needs the x and z series".
+    """
+    if needed > carried:
+        raise ValueError(f"{needs} at s = 0 to order {needed}, but they stop at order "
+                         f"{carried} (jets.MAX_ORDER = {MAX_ORDER})")
+
+
 @dataclass(frozen=True)
 class Jet:
     """Taylor coefficients c_0..c_M of a scalar function at ``base``."""

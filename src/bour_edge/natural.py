@@ -39,7 +39,7 @@ from scipy.interpolate import PchipInterpolator
 from . import bour
 from .cusps import CanonicalParameter, canonical_from_speed
 from .expr import SmoothFn
-from .jets import Jet, jet_compose, jet_eval, jet_sqrt
+from .jets import Jet, jet_compose, jet_eval, jet_sqrt, require_order
 from .profile import EdgeData
 from .quadrature import integrate_cumulative
 
@@ -275,6 +275,10 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
 
     order = 2 * k + 12
     xj, zj = profile.jets(u0, order + 1)
+    # The canonical series lose 2k + 1 orders to the speed's zero, and the
+    # chart's U series must still reach U^(k).
+    require_order(3 * k + 1, min(xj.order, zj.order),
+                  f"the natural chart at k = {k} needs the x and z series")
     speed_sq_jet = _sheared_speed_sq(xj, xj.differentiate(), zj.differentiate(), h)
 
     canonical = canonical_from_speed(lambda u: _sheared_speed(profile, u), speed_sq_jet,
@@ -318,7 +322,8 @@ def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=Q
     compares it (normalized by the recovered m) against the original U, and
     checks the recovered metric coefficients against s^(2k) and U(s)^2.
     Requires 0 in the interior of J (the chart tabulates on both sides of
-    the singular curve).
+    the singular curve). Probes outside the chart's s-range are skipped;
+    ValueError if none is left.
     """
     profile = BourProfile(data)
     chart = natural_coordinates(profile, 0.0, data.k, n_tab, quad_tol)
@@ -328,11 +333,11 @@ def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=Q
     s_lo, s_hi = float(chart.s_table[0]), float(chart.s_table[-1])
     if s_probe is None:
         s_probe = np.linspace(0.98 * s_lo, 0.98 * s_hi, 101)
+    inside = [float(sp) for sp in s_probe if s_lo <= float(sp) <= s_hi]
+    if not inside:
+        raise ValueError(f"no s_probe point lies in the chart's s-range [{s_lo!r}, {s_hi!r}]")
     sup_u = 0.0
-    for sp in s_probe:
-        sp = float(sp)
-        if sp < s_lo or sp > s_hi:
-            continue
+    for sp in inside:
         sup_u = max(sup_u, abs(float(chart.U_of_s(sp)) / m_hat - data.u_value(sp)))
 
     dsdu_interp = chart.canonical.s_of_u.derivative()

@@ -12,12 +12,17 @@ A datum carries U's Taylor series at 0 (``u_jet``), evaluated once by
 ``make_edge_data`` at an order chosen from k, and V's series cut from it.
 Every series at s = 0 is cut from these two; ``EdgeData.series`` holds those
 of x, z and the theta integral, built on first use and freed with the datum.
+
+``make_edge_data`` is the one checker of a datum's fields; ``sibling``, an
+(h, m) family member of a valid datum, re-checks only h, m and the star condition.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -27,7 +32,9 @@ from .errors import (
     StarViolation,
 )
 from .expr import SmoothFn, parse_expr
-from .jets import MAX_ORDER, Jet, jet_divide_by_power, jet_eval
+from .jets import MAX_ORDER, Jet, jet_divide_by_power, jet_eval, require_order
+
+DATUM_FIELDS = ("U", "h", "m", "eps0", "eps1", "eps2", "k", "J")  # in JSON order
 
 # Inside this radius V is evaluated from its jet at 0; the direct quotient
 # U'(s)/s^k loses about k digits there.
@@ -51,7 +58,7 @@ class EdgeData:
     J: tuple
     u_jet: Jet = field(compare=False, default=None)  # U's series at 0
     v_jet: Jet = field(compare=False, default=None)  # V's, cut from u_jet
-    # The least rho^2 of make_edge_data's star scan; None on a replace() sibling.
+    # The least rho^2 of the star scan; None on a replace() copy.
     _rho_min: float = field(compare=False, default=None, repr=False)
     _series: tuple = field(compare=False, default=None, repr=False)
 
@@ -81,25 +88,13 @@ class EdgeData:
         return self._series
 
     def replace(self, **kwargs):
-        """A sibling datum sharing U, k, J; signs/parameters overridden."""
-        fields = dict(
-            U=self.U, h=self.h, m=self.m, eps0=self.eps0, eps1=self.eps1,
-            eps2=self.eps2, k=self.k, J=self.J, u_jet=self.u_jet, v_jet=self.v_jet,
-        )
-        fields.update(kwargs)
-        return EdgeData(**fields)
+        """An unchecked copy with fields overridden; the scan's rho_min and the series are dropped."""
+        return dataclasses.replace(self, _rho_min=None, _series=None, **kwargs)
 
     def to_dict(self):
-        return {
-            "U": self.U.source_text or self.U.to_source(),
-            "h": self.h,
-            "m": self.m,
-            "eps0": self.eps0,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "k": self.k,
-            "J": [self.J[0], self.J[1]],
-        }
+        doc = {name: getattr(self, name) for name in DATUM_FIELDS}
+        doc.update(U=self.U.source_text or self.U.to_source(), J=list(self.J))
+        return doc
 
     def to_json(self):
         return json.dumps(self.to_dict())
@@ -139,13 +134,6 @@ def radicand(data: EdgeData, s):
 def rho(data: EdgeData, s):
     """sqrt(m^2 U^2 - h^2 - m^4 U^2 V^2) at s; positive on a valid datum."""
     return sqrt_at(s)(radicand(data, s))
-
-
-def _zero_band(data_u_jet, tol=None):
-    u0 = data_u_jet.coeffs[0]
-    if tol is None:
-        tol = 1e-9
-    return tol * max(1.0, abs(u0))
 
 
 def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
@@ -192,36 +180,77 @@ def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
     return ValidationReport(star_ok=not failures, rho_min=rho_min, failures=tuple(failures))
 
 
-def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAULT_STAR_SAMPLES):
-    """Validated constructor for an EdgeData.
+def _number(name, value, kind=float):
+    """value as kind, int or float; ValueError naming the field unless it is one.
 
-    Raises NonPositiveU, NonVanishingLowDerivative or StarViolation when the
+    An integral float such as 1.0 counts as an int; a bool counts as neither.
+    """
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an int past the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _checked_hm(h, m, J):
+    """h and m as floats, refused unless they and J are finite and 0 < m < 2^256."""
+    h, m = _number("h", h), _number("m", m)
+    if not all(math.isfinite(v) for v in (h, m, *J)):
+        raise ValueError(f"h, m and J must be finite, got h={h!r}, m={m!r}, J={J!r}")
+    if m <= 0.0:
+        raise ValueError(f"m must be positive, got {m!r}")
+    if m >= 2.0**256:  # star_radicand's m**4 would overflow
+        raise ValueError(f"m must be below 2^256, got {m!r}")
+    return h, m
+
+
+def _star_checked(data, samples):
+    """The (h, m) tail: the star scan, then StarViolation or the datum with its rho_min."""
+    report = check_star(data, samples)
+    if not report.star_ok:
+        raise StarViolation(f"star condition fails at {len(report.failures)} location(s), "
+                            f"first at s = {report.failures[0][1]!r}", failures=report.failures)
+    object.__setattr__(data, "_rho_min", report.rho_min)  # data is not shared yet
+    return data
+
+
+def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAULT_STAR_SAMPLES):
+    """Validated constructor for an EdgeData, and the one checker of a datum's fields.
+
+    Raises ValueError naming a field of the wrong type or value, and
+    NonPositiveU, NonVanishingLowDerivative or StarViolation when the
     admissibility conditions fail.
     """
     if isinstance(U, str):
         U = parse_expr(U)
-    m = float(m)
-    h = float(h)
-    lo, hi = float(J[0]), float(J[1])
-    if not all(math.isfinite(v) for v in (h, m, lo, hi)):
-        raise ValueError(f"h, m and J must be finite, got h={h!r}, m={m!r}, J={J!r}")
-    if m <= 0.0:
-        raise ValueError(f"m must be positive, got {m!r}")
+    k, eps0, eps1, eps2 = (_number(name, value, int) for name, value in
+                           (("k", k), ("eps0", eps0), ("eps1", eps1), ("eps2", eps2)))
+    try:
+        lo, hi = J
+    except (TypeError, ValueError):
+        raise ValueError(f"J must be two real numbers, got {J!r}") from None
+    J = (_number("J", lo), _number("J", hi))
+    h, m = _checked_hm(h, m, J)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     for name, eps in (("eps0", eps0), ("eps1", eps1), ("eps2", eps2)):
         if eps not in (+1, -1):
             raise ValueError(f"{name} must be +1 or -1, got {eps!r}")
-    if not (lo <= 0.0 <= hi) or lo >= hi:
+    if not (J[0] <= 0.0 <= J[1]) or J[0] >= J[1]:
         raise ValueError(f"J must be an interval containing 0, got {J!r}")
 
     # The natural chart needs z to order 2k + 13, and z keeps k orders fewer
     # than U (V loses k + 1 of them, the antiderivative gives one back).
-    u_jet = jet_eval(U, 0.0, min(3 * k + 13, MAX_ORDER))
+    order = min(3 * k + 13, MAX_ORDER)
+    require_order(k + 1, order, f"V = U'/s^k at k = {k} needs U's series")
+    u_jet = jet_eval(U, 0.0, order)
     u0 = u_jet.coeffs[0]
     if not u0 > 0.0:
         raise NonPositiveU(f"U(0) = {u0!r} is not positive")
-    band = _zero_band(u_jet, zero_tol)
+    band = (1e-9 if zero_tol is None else zero_tol) * max(1.0, abs(u0))
     for i in range(1, k + 1):
         di = u_jet.derivative_value(i)
         if not abs(di) <= band:
@@ -229,33 +258,22 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
                 f"U^({i})(0) = {di!r} exceeds the zero tolerance {band!r}"
             )
     v_jet = jet_divide_by_power(u_jet.differentiate(), k, tol=None)
-
     data = EdgeData(U=U, h=h, m=m, eps0=eps0, eps1=eps1, eps2=eps2,
-                    k=int(k), J=(lo, hi), u_jet=u_jet, v_jet=v_jet)
+                    k=k, J=J, u_jet=u_jet, v_jet=v_jet)
+    return _star_checked(data, samples)
 
-    report = check_star(data, samples)
-    if not report.star_ok:
-        raise StarViolation(
-            f"star condition fails at {len(report.failures)} location(s), "
-            f"first at s = {report.failures[0][1]!r}",
-            failures=report.failures,
-        )
-    return data.replace(_rho_min=report.rho_min)
+
+def sibling(data: EdgeData, h, m):
+    """The valid datum's (h, m) sibling: U, k, J, signs and U's series are shared,
+    so only h, m and the star condition (default grid) are checked again."""
+    h, m = _checked_hm(h, m, data.J)
+    return _star_checked(data.replace(h=h, m=m), DEFAULT_STAR_SAMPLES)
 
 
 def datum_from_dict(payload, zero_tol=None, samples=DEFAULT_STAR_SAMPLES):
-    return make_edge_data(
-        U=payload["U"],
-        h=float(payload["h"]),
-        m=float(payload["m"]),
-        eps0=int(payload["eps0"]),
-        eps1=int(payload["eps1"]),
-        eps2=int(payload["eps2"]),
-        k=int(payload["k"]),
-        J=tuple(float(v) for v in payload["J"]),
-        zero_tol=zero_tol,
-        samples=samples,
-    )
+    """make_edge_data over the DATUM_FIELDS of a mapping, passed on unconverted."""
+    return make_edge_data(**{name: payload[name] for name in DATUM_FIELDS},
+                          zero_tol=zero_tol, samples=samples)
 
 
 def datum_from_json(text, **kwargs):

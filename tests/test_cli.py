@@ -1,14 +1,18 @@
 import json
 import math
 import os
+import re
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from tree_walk import walked_call, walked_jet_eval
 
-from bour_edge import jets
+from bour_edge import deform, jets
 from bour_edge.cli import main
 from bour_edge.expr import SmoothFn
+from bour_edge.profile import DATUM_FIELDS, datum_from_dict, sibling
 
 
 EDGE_K1 = {
@@ -304,3 +308,114 @@ def test_quad_tol_reaches_the_roundtrip(capsys, datum_file, monkeypatch):
     code, _, _ = run_cli(capsys, "roundtrip", "--datum", datum_file, "--quad-tol", "1e-10")
     assert code == 0
     assert seen == [1e-10]
+
+
+# -- datum files: every field is checked by make_edge_data ---------------------
+
+_EVIDENCE = [("k", 1.7), ("eps0", 1.9), ("eps2", -1.5), ("k", True), ("m", True), ("k", "1"),
+             ("J", [-0.8, 0.8, 5]), ("J", [-0.8]), ("h", None), ("k", None), ("eps1", None),
+             ("J", None), ("J", 5), ("J", [None, 0.8]), ("m", 2.0**256)]
+
+
+def _validate_file(capsys, tmp_path, payload, *flags):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(payload))
+    return run_cli(capsys, "validate", "--datum", str(path), *flags)
+
+
+@pytest.mark.parametrize("field, value", _EVIDENCE, ids=[f"{f}={json.dumps(v)}" for f, v in _EVIDENCE])
+def test_datum_file_field_of_the_wrong_type_is_usage_error(capsys, tmp_path, field, value):
+    code, out, err = _validate_file(capsys, tmp_path, dict(EDGE_K1, **{field: value}))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"bour-edge: error: {field} must be ")
+
+
+def test_integral_float_k_in_a_datum_file_is_accepted(capsys, tmp_path):
+    expected = _validate_file(capsys, tmp_path, EDGE_K1)
+    assert _validate_file(capsys, tmp_path, dict(EDGE_K1, k=1.0)) == expected
+    assert expected[0] == 0
+
+
+def test_datum_file_that_is_not_an_object_is_usage_error(capsys, tmp_path):
+    code, out, err = _validate_file(capsys, tmp_path, [EDGE_K1])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bour-edge: error: datum file is not a JSON object: ")
+
+
+_ANY_JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.one_of(st.none(), st.integers(), st.floats()), max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(DATUM_FIELDS), value=_ANY_JSON_VALUE, as_json=st.booleans())
+def test_any_value_in_any_datum_field_is_reported(capsys, tmp_path, field, value, as_json):
+    code, out, err = _validate_file(capsys, tmp_path, dict(EDGE_K1, **{field: value}),
+                                    *(["--json"] if as_json else []))
+    assert code in (0, 1, 2)
+    if code == 2:
+        message = json.loads(err)["message"] if as_json else err
+        assert re.search(rf"\b{field}\b", message), message
+
+
+# -- k beyond the series a datum carries at 0 ----------------------------------
+
+def _high_k_args(k):
+    return ("--U", f"1 + {0.2 / (k + 1)!r}*s^{k + 1} + 0.01*s^{2 * k + 2}", "--h", "0.1",
+            "--m", "1", "--eps0", "1", "--eps1", "1", "--eps2", "1", "--k", str(k),
+            "--J", "-0.4", "0.4")
+
+
+@pytest.mark.parametrize("command, k, message", [
+    ("roundtrip", 8, "the natural chart at k = 8 needs the x and z series at s = 0 to order 25, "
+                     "but they stop at order 24 (jets.MAX_ORDER = 32)"),
+    ("invariants", 11, "the s-derivatives of Psi at k = 11 need the x, z and theta series at s = 0 "
+                       "to order 22, but they stop at order 21 (jets.MAX_ORDER = 32)"),
+    ("validate", 32, "V = U'/s^k at k = 32 needs U's series at s = 0 to order 33, "
+                     "but they stop at order 32 (jets.MAX_ORDER = 32)"),
+])
+def test_k_beyond_the_series_names_the_orders(capsys, command, k, message):
+    code, out, err = run_cli(capsys, command, *_high_k_args(k))
+    assert code == 2
+    assert out == ""
+    assert err == f"bour-edge: error: {message}\n"
+
+
+# -- roundtrip reports only comparisons it made ---------------------------------
+
+@pytest.mark.parametrize("probe, message", [
+    (("-0.5", "0.5", "0"), "--s-probe count must be a positive integer, got 0"),
+    (("-0.5", "0.5", "2.7"), "--s-probe count must be a positive integer, got 2.7"),
+    (("5", "6", "10"), "no s_probe point lies in the chart's s-range [-0.8000000000000002, 0.8000000000000002]"),
+], ids=["zero", "fraction", "outside"])
+def test_roundtrip_refuses_a_probe_it_cannot_compare(capsys, datum_file, probe, message):
+    code, out, err = run_cli(capsys, "roundtrip", "--datum", datum_file, "--s-probe", *probe)
+    assert code == 2
+    assert out == ""
+    assert err == f"bour-edge: error: {message}\n"
+
+
+def test_zero_tol_family_and_inversion(capsys, tmp_path):
+    # U'(0) = 1e-8 passes only under --zero-tol 1e-7; members must not re-check it
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"U": "1 + 1e-8*s + 6*s^2", "h": 0.01, "m": 0.05, "eps0": 1,
+                                "eps1": 1, "eps2": 1, "k": 1, "J": [-0.3, 0.3]}))
+    datum = ("--datum", str(path), "--zero-tol", "1e-7")
+    code, out, _ = run_cli(capsys, "deform", *datum, "--h-span", "0.005", "--m-span", "0.01",
+                           "--nh", "2", "--nm", "2")
+    assert code == 0
+    members = json.loads(out)["members"]
+    assert [mem["valid"] for mem in members] == [True] * 4
+
+    member = sibling(datum_from_dict(json.loads(path.read_text()), zero_tol=1e-7), 0.015, 0.06)
+    kappa_nu, kappa_t = deform.invariant_map(member)
+    code, out, err = run_cli(capsys, "invert", *datum, "--target-kappa-nu", repr(kappa_nu),
+                             "--target-kappa-t", repr(kappa_t))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["h"] == pytest.approx(0.015, abs=1e-10)
+    assert doc["m"] == pytest.approx(0.06, abs=1e-10)

@@ -203,3 +203,10 @@ def test_invariant_report_for_higher_k(high_k_data, k):
     report = inv.compute_invariant_report(high_k_data[k])
     assert len(report.omegas) == k and report.beta is not None
     assert report.max_discrepancy < 1e-6
+
+
+def test_omega_ladder_past_the_series_names_the_orders():
+    d = make_edge_data("1 + 0.01*s^17", h=0.1, m=1.0, eps0=1, eps1=1, eps2=1, k=16, J=(-0.4, 0.4))
+    with pytest.raises(ValueError, match=r"^the omega ladder at k = 16 needs U's series at s = 0 "
+                                         r"to order 33, but they stop at order 32 \(jets\.MAX_ORDER = 32\)$"):
+        inv.omega(d, 1)

@@ -243,3 +243,8 @@ def test_roundtrip_for_higher_k(high_k_data, k):
     report = natural.roundtrip(high_k_data[k], n_tab=384)
     assert report.sup_error_U < 1e-6
     assert report.sup_error_metric < 1e-6
+
+
+def test_roundtrip_refuses_probes_outside_the_chart(edge_k1):
+    with pytest.raises(ValueError, match="no s_probe point lies in the chart's s-range"):
+        natural.roundtrip(edge_k1, s_probe=np.linspace(5.0, 6.0, 10), n_tab=128)

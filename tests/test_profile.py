@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bour_edge.errors import (
+    BourEdgeError,
     NegativeRadicand,
     NonPositiveU,
     NonVanishingLowDerivative,
@@ -19,6 +20,7 @@ from bour_edge.profile import (
     make_edge_data,
     radicand,
     rho,
+    sibling,
 )
 
 
@@ -211,3 +213,31 @@ def test_non_positive_U_is_reported_before_a_refused_V():
     with pytest.raises(NonPositiveU, match=r"U\(-1\.0\) = -1\.0 is not positive on J"):
         make_edge_data("1 + 0*sqrt((s - 0.5)^2) - 2*s^2", h=0.0, m=1.0,
                        eps0=1, eps1=1, eps2=1, k=1, J=(-1.0, 1.0), samples=65)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args), None
+    except (ValueError, BourEdgeError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def test_sibling_matches_a_rebuild(corpus):
+    # A sibling re-checks only h, m and the star condition; the rest is the datum's.
+    outcomes = set()
+    for data in corpus:
+        for dh in (-0.2, 0.0, 0.4):
+            for dm in (-0.8, 0.0, 0.3):
+                h, m = data.h + dh, data.m + dm
+                rebuilt, rebuilt_error = _outcome(make_edge_data, data.U, h, m, data.eps0,
+                                                  data.eps1, data.eps2, data.k, data.J)
+                member, member_error = _outcome(sibling, data, h, m)
+                assert member_error == rebuilt_error
+                outcomes.add(rebuilt_error[0] if rebuilt_error else None)
+                if rebuilt is None:
+                    continue
+                assert member == rebuilt
+                assert member.u_jet.coeffs == rebuilt.u_jet.coeffs
+                assert member.v_jet.coeffs == rebuilt.v_jet.coeffs
+                assert member._rho_min == rebuilt._rho_min
+    assert outcomes == {None, ValueError, StarViolation}
