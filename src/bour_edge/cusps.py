@@ -20,6 +20,10 @@ Decision tree at a singular point (gamma' = 0):
         else det(gamma''', gamma^(5)) != 0                   -> 5/3
 
 Anything else is reported as undetermined rather than guessed.
+
+A canonical parameter s(u) is tabulated on nodes and read between them
+through the in-repo PCHIP (``pchip.Pchip``): s(u), its inverse u(s) and
+ds/du.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import NotDiffeo, UnsupportedK, WrongMultiplicity
 from .expr import SmoothFn
@@ -41,6 +44,7 @@ from .jets import (
     jet_pow_real,
     jet_sqrt,
 )
+from .pchip import Pchip
 from .profile import EdgeData
 from .quadrature import integrate_cumulative
 
@@ -183,9 +187,9 @@ class CanonicalParameter:
     k: int
     u_table: np.ndarray
     s_table: np.ndarray
-    s_of_u: PchipInterpolator
-    u_of_s: PchipInterpolator
-    dsdu_of_u: PchipInterpolator
+    s_of_u: Pchip
+    u_of_s: Pchip
+    dsdu_of_u: Pchip
     s_jet: Jet  # jet of s(u) at u0
     u_jet: Jet  # jet of the inverse u(s) at 0
 
@@ -261,9 +265,9 @@ def canonical_from_speed(speed, speed_sq_jet, u0, k, interval, n_samples=512):
             ds.append(((k + 1.0) * a_abs) ** (-k / (k + 1.0)) * speed(u))
     u_table = np.array(us)
     s_table = np.array(ss)
-    s_of_u = PchipInterpolator(u_table, s_table)
-    u_of_s = PchipInterpolator(s_table, u_table)
-    dsdu_of_u = PchipInterpolator(u_table, np.array(ds))
+    s_of_u = Pchip(u_table, s_table)
+    u_of_s = Pchip(s_table, u_table)
+    dsdu_of_u = Pchip(u_table, np.array(ds))
     return CanonicalParameter(
         u0=u0, k=k, u_table=u_table, s_table=s_table, s_of_u=s_of_u,
         u_of_s=u_of_s, dsdu_of_u=dsdu_of_u, s_jet=s_jet, u_jet=u_jet,

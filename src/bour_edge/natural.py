@@ -14,6 +14,9 @@ in which the metric is s^(2k) ds^2 + U(s)^2 dt^2:
   2. the canonical parameter s(u) of that speed (|d gamma~/ds| = |s|^k);
   3. U(s) = sqrt(x(u(s))^2 + h^2).
 
+The shear phi(u) and U(s) are tabulated and read between nodes through the
+in-repo PCHIP (``pchip.Pchip``), as the canonical parameter is.
+
 ``roundtrip`` drives this pipeline on a profile read back from a Bour datum
 and compares the recovered metric function with the original U.
 
@@ -34,12 +37,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import bour
 from .cusps import CanonicalParameter, canonical_from_speed
 from .expr import SmoothFn
 from .jets import Jet, jet_compose, jet_eval, jet_sqrt, require_order
+from .pchip import Pchip
 from .profile import EdgeData
 from .quadrature import integrate_cumulative
 
@@ -223,11 +226,11 @@ class NaturalChart:
     h: float
     canonical: CanonicalParameter
     U_table: np.ndarray
-    U_of_s: PchipInterpolator
+    U_of_s: Pchip
     U_jet: Jet  # jet of U at s = 0
     phi_nodes: np.ndarray
     phi_table: np.ndarray
-    phi_of_u: PchipInterpolator
+    phi_of_u: Pchip
     max_low_derivative: float  # max |U^(i)(0)|, 1 <= i <= k
 
     @property
@@ -271,7 +274,7 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
         cumulative = np.array(integrate_cumulative(phi_integrand, [float(v) for v in phi_nodes], quad_tol))
         at_u0 = float(cumulative[int(np.argmin(np.abs(phi_nodes - u0)))])
         phi_table = cumulative - at_u0
-    phi_of_u = PchipInterpolator(phi_nodes, phi_table)
+    phi_of_u = Pchip(phi_nodes, phi_table)
 
     order = 2 * k + 12
     xj, zj = profile.jets(u0, order + 1)
@@ -286,7 +289,7 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
 
     x_values = np.array([profile.x_value(float(u)) for u in canonical.u_table])
     U_table = np.sqrt(x_values**2 + h**2)
-    U_of_s = PchipInterpolator(canonical.s_table, U_table)
+    U_of_s = Pchip(canonical.s_table, U_table)
 
     xu_jet = jet_compose(xj.truncated(canonical.u_jet.order), canonical.u_jet)
     U_jet = jet_sqrt(xu_jet * xu_jet + h**2)
