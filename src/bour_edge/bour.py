@@ -203,9 +203,18 @@ def first_fundamental_form(data: EdgeData, s, t):
 
     The contract E = s^(2k), F = 0, G = U(s)^2 is what tests verify; here the
     coefficients are assembled from x', z', theta_s, theta_t without assuming
-    that identity.
+    that identity. None of them depends on t.
     """
-    x, xprime, zi, ti = _rates(data, s)
+    return fundamental_form_from(data, s, s**data.k, data.u_value(s), data.v_value(s))
+
+
+def fundamental_form_from(data: EdgeData, s, sk, u, v):
+    """first_fundamental_form at s from s^k, U(s) and V(s), as profile_rates takes them.
+
+    U and V do not depend on h, m or the signs, so (h, m) siblings and isomers
+    can share them.
+    """
+    x, xprime, zi, ti = profile_rates(data, sk, u, v, sqrt_at(s))
     m, h = data.m, data.h
     xr = x * x
     zprime = data.eps2 * m * zi

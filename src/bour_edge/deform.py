@@ -52,37 +52,83 @@ def _metric_sample_points(data, count=METRIC_SAMPLE_COUNT):
     return list(zip(ss, ts))
 
 
-def metric_deviation(a: EdgeData, b: EdgeData, points=None):
-    """max over sample points of |dE| + |dF| + |dG| between two data."""
-    if points is None:
-        points = _metric_sample_points(a)
+def _metric_values(data, points):
+    """(s, s^k, U(s), V(s)) at each sample point, for bour.fundamental_form_from."""
+    values = []
+    for s, _ in points:  # the forms do not depend on t
+        s = float(s)
+        values.append((s, s**data.k, data.u_value(s), data.v_value(s)))
+    return values
+
+
+def _forms(data, values):
+    return [bour.fundamental_form_from(data, *value) for value in values]
+
+
+def metric_reference(data: EdgeData, points):
+    """(values, forms): (s, s^k, U(s), V(s)) at each sample point and the datum's forms there.
+
+    The values depend only on U and k, so every datum sharing those (an
+    (h, m) sibling, a sign variant) is compared with one reference.
+    """
+    values = _metric_values(data, points)
+    return values, _forms(data, values)
+
+
+def metric_deviation(a: EdgeData, b: EdgeData, points=None, *, reference=None):
+    """max over sample points of |dE| + |dF| + |dG| between two data.
+
+    ``reference`` is ``metric_reference(a, points)``, passed when b shares
+    a's U and k; a's forms and U, V at the points are then read from it.
+    """
+    if reference is None:
+        if points is None:
+            points = _metric_sample_points(a)
+        reference = metric_reference(a, points)
+        b_values = _metric_values(b, points)
+    else:
+        b_values = reference[0]
     worst = 0.0
-    for s, t in points:
-        fa = bour.first_fundamental_form(a, float(s), float(t))
-        fb = bour.first_fundamental_form(b, float(s), float(t))
+    for fa, fb in zip(reference[1], _forms(b, b_values)):
         worst = max(worst, abs(fa.E - fb.E) + abs(fa.F - fb.F) + abs(fa.G - fb.G))
     return worst
+
+
+def _grid_axis(name, center, span, count, floor=-math.inf):
+    """count values over center +- span (the lower end clipped to floor); [center] for 1."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count!r}")
+    if count == 1:
+        return [center]
+    return [float(v) for v in np.linspace(max(center - span, floor), center + span, count)]
 
 
 def deformation_family(data: EdgeData, h_span, m_span, nh, nm) -> DeformationFamily:
     """Validity grid of (h, m) around the base, with metric checks.
 
-    h runs over base.h +- h_span and m over base.m +- m_span (clipped to
-    m > 0); invalid combinations are kept in the grid with valid=False.
+    h runs over nh values of base.h +- h_span and m over nm values of
+    base.m +- m_span (clipped to m > 0); a count of 1 takes the base's own
+    value. Invalid combinations are kept in the grid with valid=False.
+    Members share U and V with the base: on the star grid through
+    ``sibling``, and at the metric sample points through one
+    ``metric_reference``, which also holds the base's forms.
     """
+    hs = _grid_axis("nh", data.h, h_span, nh)
+    ms = _grid_axis("nm", data.m, m_span, nm, floor=1e-6)
     points = _metric_sample_points(data)
+    reference = None
     members = []
-    hs = np.linspace(data.h - h_span, data.h + h_span, nh)
-    ms = np.linspace(max(data.m - m_span, 1e-6), data.m + m_span, nm)
     for h in hs:
         for m in ms:
             try:
-                member = sibling(data, float(h), float(m))
+                member = sibling(data, h, m)
             except BourEdgeError:
-                members.append(FamilyMember(float(h), float(m), False, None, None))
+                members.append(FamilyMember(h, m, False, None, None))
                 continue
-            dev = metric_deviation(data, member, points)
-            members.append(FamilyMember(float(h), float(m), True, member, dev))
+            if reference is None:  # on the first valid member: a family with none reads no form
+                reference = metric_reference(data, points)
+            dev = metric_deviation(data, member, reference=reference)
+            members.append(FamilyMember(h, m, True, member, dev))
     return DeformationFamily(base=data, members=tuple(members))
 
 
@@ -200,8 +246,8 @@ def isomers(data: EdgeData) -> IsomerSet:
         data.replace(eps1=e1, eps2=e2)
         for e1, e2 in ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
     )
-    points = _metric_sample_points(data)
-    dev = max(metric_deviation(variants[0], v, points) for v in variants[1:])
+    reference = metric_reference(variants[0], _metric_sample_points(data))
+    dev = max(metric_deviation(variants[0], v, reference=reference) for v in variants[1:])
     helix = tuple(singular_helix_invariants(v) for v in variants)
     return IsomerSet(variants=variants, metric_deviation=dev, helix=helix)
 

@@ -15,6 +15,9 @@ of x, z and the theta integral, built on first use and freed with the datum.
 
 ``make_edge_data`` is the one checker of a datum's fields; ``sibling``, an
 (h, m) family member of a valid datum, re-checks only h, m and the star condition.
+U and V do not depend on h or m, so a datum and its siblings share one table
+of U and V on the default star grid (``EdgeData.star_grid``), evaluated on
+first use; each member's scan then costs one radicand per grid point.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class EdgeData:
     # The least rho^2 of the star scan; None on a replace() copy.
     _rho_min: float = field(compare=False, default=None, repr=False)
     _series: tuple = field(compare=False, default=None, repr=False)
+    # A one-slot holder for star_grid, shared by the datum and its siblings.
+    _star_grid: list = field(compare=False, default_factory=lambda: [None], repr=False)
 
     @property
     def n(self):
@@ -87,9 +92,21 @@ class EdgeData:
             object.__setattr__(self, "_series", series_at_zero(self))
         return self._series
 
+    @property
+    def star_grid(self):
+        """(grid, U, V) on the default star grid (``grid_values``), evaluated once.
+
+        The holder is shared with every ``sibling``, so the first scan of any
+        member fills it for all. NonPositiveU leaves it empty.
+        """
+        if self._star_grid[0] is None:
+            self._star_grid[0] = grid_values(self, DEFAULT_STAR_SAMPLES)
+        return self._star_grid[0]
+
     def replace(self, **kwargs):
-        """An unchecked copy with fields overridden; the scan's rho_min and the series are dropped."""
-        return dataclasses.replace(self, _rho_min=None, _series=None, **kwargs)
+        """An unchecked copy with fields overridden; the scan's rho_min, the series
+        and the star grid's values are dropped, since U or J may change."""
+        return dataclasses.replace(self, _rho_min=None, _series=None, _star_grid=[None], **kwargs)
 
     def to_dict(self):
         doc = {name: getattr(self, name) for name in DATUM_FIELDS}
@@ -136,15 +153,13 @@ def rho(data: EdgeData, s):
     return sqrt_at(s)(radicand(data, s))
 
 
-def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
-    """Evaluate the radicand on a grid plus bisection near sign changes.
+def grid_values(data: EdgeData, samples):
+    """The star grid of J with U and V at each point, as lists (grid, us, vs).
 
-    U is evaluated once per grid point, and the radicand reuses that value.
-    Raises NonPositiveU at the first grid point where U is not positive,
-    before any V is evaluated.
+    The grid has ``samples`` equal steps' end points, plus s = 0 if missing.
+    U is evaluated once per point. Raises NonPositiveU at the first point
+    where U is not positive, before any V is evaluated.
     """
-    if samples < 16:
-        raise ValueError("samples must be at least 16")
     lo, hi = data.J
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     if not any(abs(g) < 1e-15 for g in grid):
@@ -154,16 +169,28 @@ def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
     for s, u in zip(grid, us):
         if not u > 0.0:
             raise NonPositiveU(f"U({s!r}) = {u!r} is not positive on J")
-    values = [star_radicand(u, data.v_value(s), data.h, data.m) for s, u in zip(grid, us)]
-    failures = []
+    return grid, us, [data.v_value(s) for s in grid]
+
+
+def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
+    """Evaluate the radicand on a grid plus bisection near sign changes.
+
+    The default grid reads U and V from ``data.star_grid``, shared with the
+    datum's siblings; another grid evaluates them afresh (``grid_values``).
+    """
+    if samples < 16:
+        raise ValueError("samples must be at least 16")
+    if samples == DEFAULT_STAR_SAMPLES:
+        grid, us, vs = data.star_grid
+    else:
+        grid, us, vs = grid_values(data, samples)
+    values = [star_radicand(u, v, data.h, data.m) for u, v in zip(us, vs)]
     rho_min = min(values)
-    for s, val in zip(grid, values):
-        if not val > 0.0:
-            name = "rho_at_zero" if s == 0.0 else "rho_positive"
-            failures.append((name, s, val))
-    for (s0, v0), (s1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if v0 > 0.0 and v1 > 0.0:
-            continue
+    failures = [("rho_at_zero" if s == 0.0 else "rho_positive", s, val)
+                for s, val in zip(grid, values) if not val > 0.0]
+    # A sign change needs a non-positive value, so a clean scan skips the pairs.
+    pairs = zip(zip(grid, values), zip(grid[1:], values[1:])) if failures else ()
+    for (s0, v0), (s1, v1) in pairs:
         if (v0 > 0.0) == (v1 > 0.0):
             continue
         a, b, va = s0, s1, v0
@@ -264,10 +291,12 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
 
 
 def sibling(data: EdgeData, h, m):
-    """The valid datum's (h, m) sibling: U, k, J, signs and U's series are shared,
-    so only h, m and the star condition (default grid) are checked again."""
+    """The valid datum's (h, m) sibling: U, k, J, signs, U's series and the star
+    grid's values are shared, so only h, m and the star condition (default grid)
+    are checked again."""
     h, m = _checked_hm(h, m, data.J)
-    return _star_checked(data.replace(h=h, m=m), DEFAULT_STAR_SAMPLES)
+    member = dataclasses.replace(data, h=h, m=m, _rho_min=None, _series=None)
+    return _star_checked(member, DEFAULT_STAR_SAMPLES)
 
 
 def datum_from_dict(payload, zero_tol=None, samples=DEFAULT_STAR_SAMPLES):

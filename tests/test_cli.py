@@ -419,3 +419,12 @@ def test_zero_tol_family_and_inversion(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["h"] == pytest.approx(0.015, abs=1e-10)
     assert doc["m"] == pytest.approx(0.06, abs=1e-10)
+
+
+@pytest.mark.parametrize("flag", ["--nh", "--nm"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_deform_refuses_a_grid_count_below_one(capsys, datum_file, flag, count):
+    code, out, err = run_cli(capsys, "deform", "--datum", datum_file, flag, count)
+    assert code == 2
+    assert out == ""
+    assert err == f"bour-edge: error: {flag[2:]} must be at least 1, got {count}\n"

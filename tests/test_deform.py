@@ -6,6 +6,7 @@ import pytest
 from bour_edge import deform, invariants
 from bour_edge.cusps import classify_edge
 from bour_edge.errors import NoConvergence, StarViolation
+from bour_edge.expr import parse_expr
 from bour_edge.profile import make_edge_data
 
 
@@ -144,3 +145,54 @@ def test_export_family_layout(edge_k1, tmp_path):
     assert lines[0] == "h,m,valid,kappa_nu,kappa_t,edge_type"
     assert len(lines) == 1 + len(family.members)
     assert lines[1].endswith(",3/2")
+
+
+@pytest.mark.parametrize("nh, nm, name", [(0, 3, "nh"), (-1, 3, "nh"), (3, 0, "nm"), (2, -4, "nm")])
+def test_family_refuses_a_count_below_one(edge_k1, nh, nm, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {min(nh, nm)}$"):
+        deform.deformation_family(edge_k1, h_span=0.1, m_span=0.1, nh=nh, nm=nm)
+
+
+def test_family_count_of_one_samples_the_base(edge_k1):
+    family = deform.deformation_family(edge_k1, h_span=0.1, m_span=0.05, nh=1, nm=1)
+    assert [(mem.h, mem.m) for mem in family.members] == [(edge_k1.h, edge_k1.m)]
+    family = deform.deformation_family(edge_k1, h_span=0.1, m_span=0.05, nh=1, nm=3)
+    assert [mem.h for mem in family.members] == [edge_k1.h] * 3
+    assert [mem.m for mem in family.members] == [0.95, 1.0, 1.05]
+
+
+def test_family_evaluates_U_once_per_star_grid_and_metric_point(monkeypatch):
+    U = parse_expr("1 - s*cos(s) + sin(s)")
+    calls = []
+    call = type(U).__call__
+    monkeypatch.setattr(type(U), "__call__", lambda f, x: calls.append(f is U) or call(f, x))
+    base = make_edge_data(U, h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1, k=1, J=(-0.8, 0.8), samples=64)
+    calls.clear()
+    family = deform.deformation_family(base, h_span=0.1, m_span=0.05, nh=3, nm=3)
+    assert all(mem.valid for mem in family.members)  # no bisection, which calls U again
+    # The default star grid (1024 points and s = 0), then the metric sample points.
+    assert sum(calls) == 1025 + deform.METRIC_SAMPLE_COUNT
+    calls.clear()
+    deform.deformation_family(base, h_span=0.1, m_span=0.05, nh=3, nm=3)
+    assert sum(calls) == deform.METRIC_SAMPLE_COUNT  # the base keeps its star grid
+    calls.clear()
+    deform.isomers(base)
+    assert sum(calls) == deform.METRIC_SAMPLE_COUNT + 4 * 2  # + two helix points per variant
+
+
+def test_family_deviations_match_metric_deviation(edge_k1, corpus):
+    for data in [edge_k1] + list(corpus[:4]):
+        family = deform.deformation_family(data, h_span=0.3, m_span=0.2, nh=3, nm=3)
+        points = deform._metric_sample_points(data)
+        for mem in family.valid_members():
+            assert mem.metric_deviation == deform.metric_deviation(data, mem.data, points)
+    iso = deform.isomers(edge_k1)
+    points = deform._metric_sample_points(edge_k1)
+    assert iso.metric_deviation == max(deform.metric_deviation(iso.variants[0], v, points)
+                                       for v in iso.variants[1:])
+
+
+def test_metric_deviation_of_a_different_U_is_large(edge_k1):
+    other = make_edge_data("1.1 - s*cos(s) + sin(s)", h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1,
+                           k=1, J=(-0.8, 0.8))
+    assert deform.metric_deviation(edge_k1, other) > 0.2  # G = U^2 moves by about 0.2

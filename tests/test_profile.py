@@ -14,6 +14,7 @@ from bour_edge.errors import (
 from bour_edge.jets import jet_eval
 from bour_edge.expr import parse_expr
 from bour_edge.profile import (
+    DEFAULT_STAR_SAMPLES,
     check_star,
     datum_from_dict,
     datum_from_json,
@@ -241,3 +242,72 @@ def test_sibling_matches_a_rebuild(corpus):
                 assert member.v_jet.coeffs == rebuilt.v_jet.coeffs
                 assert member._rho_min == rebuilt._rho_min
     assert outcomes == {None, ValueError, StarViolation}
+
+
+# U dips to -1 at a point of the default 1024-point grid of J = [-1, 1] that lies
+# 3.4e-3 from the nearest point of the 64-point grid, where U is 1 to 1e-5.
+_DIP = -1 + 2 * 700 / 1023
+DIPPED_U = f"1 - 2*exp(-(s - {_DIP!r})^2*1e6)"
+
+
+def test_siblings_of_a_base_with_U_non_positive_on_the_star_grid():
+    base = make_edge_data(DIPPED_U, h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1, k=1, J=(-1.0, 1.0),
+                          samples=64)
+    for h, m in ((0.2, 1.0), (0.0, 1.2), (0.3, 0.9)):
+        with pytest.raises(NonPositiveU) as rebuilt:
+            make_edge_data(DIPPED_U, h=h, m=m, eps0=1, eps1=1, eps2=-1, k=1, J=(-1.0, 1.0))
+        with pytest.raises(NonPositiveU) as member:
+            sibling(base, h, m)
+        assert str(member.value) == str(rebuilt.value)
+        assert str(member.value).startswith(f"U({_DIP!r}) = -1.0 is not positive")
+    assert base._star_grid == [None]  # nothing is kept for a later sibling
+
+
+def test_siblings_share_the_star_grid(edge_k1):
+    grid, us, vs = edge_k1.star_grid
+    assert len(grid) == DEFAULT_STAR_SAMPLES + 1 and 0.0 in grid
+    assert us == [edge_k1.u_value(s) for s in grid]
+    assert vs == [edge_k1.v_value(s) for s in grid]
+    member = sibling(edge_k1, 0.1, 1.05)
+    assert member.star_grid is edge_k1.star_grid
+    again = sibling(member, 0.15, 0.95)
+    direct = sibling(edge_k1, 0.15, 0.95)
+    assert again == direct
+    assert again._rho_min == direct._rho_min
+    assert again.star_grid is edge_k1.star_grid
+
+
+def test_replaced_copies_carry_no_star_grid(edge_k1):
+    edge_k1.star_grid  # filled
+    for copy in (edge_k1.replace(U=parse_expr("1.5 - s*cos(s) + sin(s)")),
+                 edge_k1.replace(J=(-0.5, 0.5)), edge_k1.replace(h=0.1)):
+        assert copy._star_grid == [None]
+    moved = edge_k1.replace(U=parse_expr("2 - s*cos(s) + sin(s)"), J=(-0.5, 0.5))
+    assert moved.star_grid[0][0] == -0.5
+    assert moved.star_grid[1][0] == moved.u_value(-0.5)
+
+
+def test_a_scan_on_another_grid_keeps_no_star_grid(edge_k1):
+    copy = edge_k1.replace(h=0.1)
+    check_star(copy, 64)
+    assert copy._star_grid == [None]
+    check_star(copy)
+    assert copy._star_grid[0] is not None
+
+
+# A spike of width about 1e-4 at s = 0.3001 lies between grid points; the
+# radicand reaches about -2.3e8 inside it.
+SPIKED_U = "1 - 0.95*exp(-(s-0.3001)^2*1e8)"
+
+
+def test_the_spiked_datum_violates_the_star_condition():
+    data = make_edge_data(SPIKED_U, 0, 1, 1, 1, 1, 1, (-0.8, 0.8))
+    assert data._rho_min > 0.99
+    assert radicand(data, 0.2999986) < -1e8
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="the star scan samples J at 1025 points and misses the spike")
+def test_a_star_violation_between_grid_points_is_refused():
+    with pytest.raises(StarViolation):
+        make_edge_data(SPIKED_U, 0, 1, 1, 1, 1, 1, (-0.8, 0.8))
