@@ -4,17 +4,22 @@ For a datum {U, h, m, eps0, eps1, eps2, k} the surface is
 
     Psi(s, t) = (x(s) cos theta(s,t), x(s) sin theta(s,t), z(s) + h theta(s,t))
 
-    x(s)       = eps0 sqrt(m^2 U^2 - h^2)
-    z(s)       = eps2 m   int_0^s  w^k U(w) rho(w) / (m^2 U(w)^2 - h^2) dw
-    theta(s,t) = (eps1 t - eps2 h int_0^s w^k rho(w) / (U(w) (m^2 U(w)^2 - h^2)) dw) / m
+where x is closed form and z, theta are defined by their s-derivatives
+(``profile_rates``, the one place these formulas are written):
+
+    x(s)        = eps0 sqrt(m^2 U^2 - h^2)
+    z'(s)       = eps2 m s^k U rho / (m^2 U^2 - h^2),          z(0) = 0
+    theta_s(s)  = -eps2 h s^k rho / (m U (m^2 U^2 - h^2)),      theta(0, 0) = 0
+    theta(s, t) = eps1 t / m + theta(s, 0)
 
 The singular curve is s = 0 and the first fundamental form is
-E = s^(2k), F = 0, G = U(s)^2. The integrals are evaluated by adaptive
-Gauss-Kronrod quadrature away from 0 and by term-wise integrated jets inside
-a small band around 0, where tiny integration ranges would otherwise cancel.
+E = s^(2k), F = 0, G = U(s)^2. z(s) and theta(s, 0) are the integrals of z'
+and theta_s from 0: by adaptive Gauss-Kronrod quadrature to the absolute
+tolerance ``tol`` away from 0, and by term-wise integrated jets inside a small
+band around 0, where tiny integration ranges would otherwise cancel.
 
 Every series at s = 0 is cut from the datum's U and V series:
-``series_at_zero`` builds those of x, z and the theta integral once per datum
+``series_at_zero`` builds those of x, z and theta(., 0) once per datum
 (``EdgeData.series``), and each reader truncates what it needs.
 """
 
@@ -30,6 +35,7 @@ import numpy as np
 from . import quadrature
 from ._fmt import fmt17
 from ._version import __version__
+from .expr import check_angle
 from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
 from .profile import EdgeData, sqrt_at, star_radicand, x_squared
 
@@ -73,27 +79,19 @@ class Mesh:
     def cols(self):
         return len(self.t_values)
 
-    def point(self, r, c):
-        s = float(self.s_values[r])
-        return SurfacePoint(
-            position=tuple(float(v) for v in self.positions[r, c]),
-            s=s,
-            t=float(self.t_values[c]),
-            singular=abs(s) < SINGULAR_EPS,
-        )
-
 
 def profile_rates(data: EdgeData, wk, u, v, sqrt):
-    """(x, x', z integrand, theta integrand) at w from w^k, U(w), V(w); floats or jets.
+    """(x, x', z', theta_s) at w from w^k, U(w), V(w); floats or jets.
 
-    The integrands are those of the module docstring, and x' = m^2 U U' / x
+    z' and theta_s are those of the module docstring, and x' = m^2 U U' / x
     with U' = w^k V. ``sqrt`` is the square root of the same backend.
     """
     m, h = data.m, data.h
     xsq = x_squared(u, h, m)
     x = data.eps0 * sqrt(xsq)
     rho = sqrt(star_radicand(u, v, h, m))
-    return x, m * m * u * (wk * v) / x, wk * u * rho / xsq, wk * rho / (u * xsq)
+    return (x, m * m * u * (wk * v) / x, data.eps2 * m * (wk * u * rho / xsq),
+            -data.eps2 * h * (wk * rho / (u * xsq)) / m)
 
 
 def _rates(data: EdgeData, w):
@@ -106,96 +104,72 @@ def x_of_s(data: EdgeData, s):
     return data.eps0 * sqrt_at(s)(x_squared(data.u_value(s), data.h, data.m))
 
 
-def _z_integrand(data):
-    return lambda w: _rates(data, w)[2]
-
-
-def _theta_integrand(data):
-    return lambda w: _rates(data, w)[3]
-
-
 def series_at_zero(data: EdgeData):
-    """Jets at s = 0 of x, z and the theta integral, from the datum's U and V series.
+    """Jets at s = 0 of x, z and theta(., 0), from the datum's U and V series.
 
-    x keeps U's order; the integrals keep V's order plus one.
+    x keeps U's order; z and theta keep V's order plus one.
     """
     wk = variable_jet(0.0, data.u_jet.order) ** data.k
-    x_j, _, zi_j, ti_j = profile_rates(data, wk, data.u_jet, data.v_jet, jet_sqrt)
-    return x_j, (data.eps2 * data.m * zi_j).antiderivative(), ti_j.antiderivative()
+    x_j, _, dz_j, dtheta_j = profile_rates(data, wk, data.u_jet, data.v_jet, jet_sqrt)
+    return x_j, dz_j.antiderivative(), dtheta_j.antiderivative()
+
+
+def _integral(data: EdgeData, i, s, tol):
+    """The integral from 0 to s of profile_rates' component i: z(s) for i = 2, theta(s, 0)
+    for i = 3, which vanishes for h = 0. The series inside NEAR_ZERO_RADIUS, else
+    quadrature to the absolute tolerance ``tol``."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if s == 0.0 or (i == 3 and data.h == 0.0):
+        return 0.0
+    if abs(s) < NEAR_ZERO_RADIUS:
+        return data.series[i - 1](s)
+    return quadrature.integrate(lambda w: _rates(data, w)[i], 0.0, s, tol)[0]
 
 
 def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):
-    """z(s) by adaptive quadrature from 0; exact 0 at s = 0."""
-    if s == 0.0:
-        return 0.0
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if abs(s) < NEAR_ZERO_RADIUS:
-        return data.series[1](s)
-    val, _ = quadrature.integrate(_z_integrand(data), 0.0, s, tol / data.m)
-    return data.eps2 * data.m * val
-
-
-def _theta_integral(data: EdgeData, s, tol):
-    """int_0^s w^k rho / (U (m^2 U^2 - h^2)), the t-independent part of theta.
-
-    For h = 0 the caller scales this by h, so 0 is returned without
-    integrating.
-    """
-    if s == 0.0 or data.h == 0.0:
-        return 0.0
-    if abs(s) < NEAR_ZERO_RADIUS:
-        return data.series[2](s)
-    tol_int = tol * data.m / max(abs(data.h), 1.0)
-    val, _ = quadrature.integrate(_theta_integrand(data), 0.0, s, tol_int)
-    return val
+    """z(s), the integral of z' from 0."""
+    return _integral(data, 2, s, tol)
 
 
 def theta(data: EdgeData, s, t, tol=DEFAULT_TOL):
-    """theta(s, t); reduces to eps1 t / m at s = 0 and for h = 0."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    return _theta_from(data, t, _theta_integral(data, s, tol))
+    """theta(s, t) = eps1 t / m + theta(s, 0)."""
+    return data.eps1 * t / data.m + _integral(data, 3, s, tol)
 
 
-def _theta_from(data, t, integral):
-    """theta from t and the t-independent integral; floats or jets."""
-    return (data.eps1 * t - data.eps2 * data.h * integral) / data.m
+def _row(data: EdgeData, s, tol):
+    """(x, z, theta(s, 0)) at s: what Psi reads of s."""
+    return x_of_s(data, s), z_of_s(data, s, tol), _integral(data, 3, s, tol)
 
 
-def _assemble(data, s, t, x, z, theta_int):
-    th = _theta_from(data, t, theta_int)
-    return (
-        x * math.cos(th),
-        x * math.sin(th),
-        z + data.h * th,
-    )
+def _sin_cos(angle):
+    """(sin, cos) of a float angle, refused unless finite, as jet_sin_cos refuses."""
+    check_angle(angle)
+    return math.sin(angle), math.cos(angle)
+
+
+def _assemble(data: EdgeData, t, x, z, theta0, sin_cos):
+    """Psi at t from x, z and theta(., 0) at one s; floats (``_sin_cos``) or jets
+    in s (``jet_sin_cos``)."""
+    th = data.eps1 * t / data.m + theta0
+    sin_th, cos_th = sin_cos(th)
+    return x * cos_th, x * sin_th, z + data.h * th
 
 
 def psi(data: EdgeData, s, t, tol=DEFAULT_TOL):
     """The surface point Psi(s, t)."""
-    x = x_of_s(data, s)
-    z = z_of_s(data, s, tol)
-    integral = _theta_integral(data, s, tol)
-    return SurfacePoint(
-        position=_assemble(data, s, t, x, z, integral),
-        s=s,
-        t=t,
-        singular=abs(s) < SINGULAR_EPS,
-    )
+    return SurfacePoint(position=_assemble(data, t, *_row(data, s, tol), _sin_cos),
+                        s=s, t=t, singular=abs(s) < SINGULAR_EPS)
 
 
 def psi_jet_at_zero(data: EdgeData, t, order):
     """Jets in s at s = 0 of the three components of Psi(., t).
 
-    Computed by term-wise integration of the integrand jets; no quadrature.
+    Computed by term-wise integration of the rate jets; no quadrature.
     """
     require_order(order, min(j.order for j in data.series),
                   f"the s-derivatives of Psi at k = {data.k} need the x, z and theta series")
-    x_j, z_j, i_j = (j.truncated(order) for j in data.series)
-    theta_j = _theta_from(data, t, i_j)
-    sin_j, cos_j = jet_sin_cos(theta_j)
-    return x_j * cos_j, x_j * sin_j, z_j + data.h * theta_j
+    return _assemble(data, t, *(j.truncated(order) for j in data.series), jet_sin_cos)
 
 
 def first_fundamental_form(data: EdgeData, s, t):
@@ -214,12 +188,10 @@ def fundamental_form_from(data: EdgeData, s, sk, u, v):
     U and V do not depend on h, m or the signs, so (h, m) siblings and isomers
     can share them.
     """
-    x, xprime, zi, ti = profile_rates(data, sk, u, v, sqrt_at(s))
-    m, h = data.m, data.h
+    x, xprime, zprime, theta_s = profile_rates(data, sk, u, v, sqrt_at(s))
+    h = data.h
     xr = x * x
-    zprime = data.eps2 * m * zi
-    theta_s = -data.eps2 * h * ti / m
-    theta_t = data.eps1 / m
+    theta_t = data.eps1 / data.m
     zh = zprime + h * theta_s
     E = xprime**2 + xr * theta_s**2 + zh**2
     F = theta_t * (xr * theta_s + h * zh)
@@ -235,14 +207,20 @@ def _snap_zero_row(values):
 
 
 def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60, tol=DEFAULT_TOL):
-    """Sampled surface grid; contains the exact s = 0 row when 0 is in range."""
+    """Sampled surface grid; contains the exact s = 0 row when 0 is in range.
+
+    Each range is (lo, hi) with finite lo < hi; s_range lies in J.
+    """
     if rows < 2 or cols < 2:
         raise ValueError("rows and cols must be at least 2")
-    lo, hi = s_range if s_range is not None else data.J
+    s_range = data.J if s_range is None else s_range
+    t_range = (0.0, 2.0 * math.pi * data.m) if t_range is None else t_range
+    for name, (lo, hi) in (("s_range", s_range), ("t_range", t_range)):
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"{name} must be finite with lo < hi, got {(lo, hi)!r}")
+    lo, hi = s_range
     if lo < data.J[0] - 1e-12 or hi > data.J[1] + 1e-12:
         raise ValueError(f"s_range {s_range!r} exceeds the datum domain {data.J!r}")
-    if t_range is None:
-        t_range = (0.0, 2.0 * math.pi * data.m)
     s_values = np.linspace(lo, hi, rows)
     singular_row = None
     if lo <= 0.0 <= hi:
@@ -251,12 +229,9 @@ def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60, to
 
     positions = np.empty((rows, cols, 3))
     for r, s in enumerate(s_values):
-        s = float(s)
-        x = x_of_s(data, s)
-        z = z_of_s(data, s, tol)
-        integral = _theta_integral(data, s, tol)
+        row = _row(data, float(s), tol)
         for c, t in enumerate(t_values):
-            positions[r, c] = _assemble(data, s, float(t), x, z, integral)
+            positions[r, c] = _assemble(data, float(t), *row, _sin_cos)
     return Mesh(s_values=s_values, t_values=t_values, positions=positions,
                 singular_row=singular_row, datum=data)
 

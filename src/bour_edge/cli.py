@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,7 +20,7 @@ from . import bour, cusps, deform, invariants, natural
 from ._fmt import to_json17
 from .errors import BourEdgeError, ExprSyntaxError
 from .expr import parse_expr
-from .profile import DATUM_FIELDS, datum_from_dict
+from .profile import DATUM_FIELDS, DEFAULT_STAR_SAMPLES, datum_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,13 +44,13 @@ def make_parser():
     datum.add_argument("--J", type=float, nargs=2, metavar=("LO", "HI"))
     datum.add_argument("--zero-tol", type=float, default=None,
                        help="tolerance for the vanishing-derivative checks (default 1e-9)")
-    datum.add_argument("--samples", type=int, default=1024,
+    datum.add_argument("--samples", type=int, default=DEFAULT_STAR_SAMPLES,
                        help="grid density for the admissibility scan")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory for artifacts")
     common.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
     quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument("--quad-tol", type=float, default=1e-12)
+    quad.add_argument("--quad-tol", type=float, default=bour.DEFAULT_TOL)
 
     parser = argparse.ArgumentParser(prog="bour-edge",
                                      description="singular helicoidal surface toolkit")
@@ -300,6 +301,10 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
+        for name in ("quad_tol", "tol"):  # float() accepts nan, inf and negatives
+            value = getattr(args, name, None)
+            if value is not None and not 0.0 < value < math.inf:
+                raise UsageError(f"--{name.replace('_', '-')} must be positive and finite, got {value!r}")
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         return _report_error(args, EXIT_USAGE, exc)

@@ -43,6 +43,7 @@ from .jets import (
     jet_invert,
     jet_pow_real,
     jet_sqrt,
+    require_order,
 )
 from .pchip import Pchip
 from .profile import EdgeData
@@ -203,7 +204,7 @@ class CanonicalParameter:
 _JET_BAND = 1e-3
 
 
-def canonical_from_speed(speed, speed_sq_jet, u0, k, interval, n_samples=512):
+def canonical_from_speed(speed, speed_sq_jet, u0, k, interval, n_samples=512, quad_tol=1e-12):
     """Canonical parameter from the speed function |gamma'|.
 
     ``speed`` is a callable; ``speed_sq_jet`` is the jet of speed^2 at u0,
@@ -213,8 +214,8 @@ def canonical_from_speed(speed, speed_sq_jet, u0, k, interval, n_samples=512):
         s(u) = sign(u - u0) ((k+1) |int_u0^u speed|)^(1/(k+1)).
 
     Inside a small band around u0 the integral comes from jets (the direct
-    quadrature loses digits there); the two branches are stitched at the
-    band edge.
+    quadrature, to ``quad_tol``, loses digits there); the two branches are
+    stitched at the band edge.
     """
     lo, hi = interval
     if not (lo < u0 < hi):
@@ -238,8 +239,8 @@ def canonical_from_speed(speed, speed_sq_jet, u0, k, interval, n_samples=512):
     band = min(_JET_BAND, 0.25 * (hi - u0), 0.25 * (u0 - lo))
     right_nodes = [float(u) for u in np.linspace(u0, hi, max(2, n_samples // 2)) if u > u0 + band]
     left_nodes = [float(u) for u in np.linspace(u0, lo, max(2, n_samples // 2)) if u < u0 - band]
-    a_right = integrate_cumulative(speed, [u0 + band] + right_nodes)[1:]
-    a_left = integrate_cumulative(speed, [u0 - band] + left_nodes)[1:]
+    a_right = integrate_cumulative(speed, [u0 + band] + right_nodes, quad_tol)[1:]
+    a_left = integrate_cumulative(speed, [u0 - band] + left_nodes, quad_tol)[1:]
     a_edge_right = abs(a_jet(u0 + band))
     a_edge_left = abs(a_jet(u0 - band))
 
@@ -282,8 +283,11 @@ def canonical_parameter(curve, u0, k, interval, n_samples=512, tol=DEFAULT_TOL):
     """
     comps = list(curve)
     n = k + 1
-    jets = [jet_eval(f, u0, 16) for f in comps]
-    derivs = [np.array([j.derivative_value(i) for j in jets]) for i in range(2 * k + 4)]
+    order = 16
+    # The speed^2 series keeps order - 1 and loses 2k orders to its zero.
+    require_order(2 * k + 1, order, f"the canonical parameter at k = {k} needs the curve's series")
+    jets = [jet_eval(f, u0, order) for f in comps]
+    derivs = [np.array([j.derivative_value(i) for j in jets]) for i in range(min(2 * k + 4, order + 1))]
     scale = max(float(np.max(np.abs(v))) for v in derivs[1:])
     scale = max(scale, 1e-300)
     for i in range(1, n):

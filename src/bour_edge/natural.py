@@ -93,9 +93,7 @@ class BourProfile:
         return bour.x_of_s(self.data, s)
 
     def rates(self, s):
-        d = self.data
-        x, xd, zi, _ = bour._rates(d, s)
-        return x, xd, d.eps2 * d.m * zi
+        return bour._rates(self.data, s)[:3]
 
     def jets(self, u0, order):
         if u0 != 0.0:
@@ -285,7 +283,7 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
     speed_sq_jet = _sheared_speed_sq(xj, xj.differentiate(), zj.differentiate(), h)
 
     canonical = canonical_from_speed(lambda u: _sheared_speed(profile, u), speed_sq_jet,
-                                     u0, k, profile.interval, n_tab)
+                                     u0, k, profile.interval, n_tab, quad_tol)
 
     x_values = np.array([profile.x_value(float(u)) for u in canonical.u_table])
     U_table = np.sqrt(x_values**2 + h**2)

@@ -105,7 +105,14 @@ class EdgeData:
 
     def replace(self, **kwargs):
         """An unchecked copy with fields overridden; the scan's rho_min, the series
-        and the star grid's values are dropped, since U or J may change."""
+        and the star grid's values are dropped, since U or J may change. A new U
+        (a tree or its text) or k gets U's and V's series at 0 anew."""
+        if "U" in kwargs or "k" in kwargs:
+            U, k = kwargs.get("U", self.U), kwargs.get("k", self.k)
+            if isinstance(U, str):
+                U = kwargs["U"] = parse_expr(U)
+            u_jet = _u_series(U, k)
+            kwargs.update(u_jet=u_jet, v_jet=jet_divide_by_power(u_jet.differentiate(), k, tol=None))
         return dataclasses.replace(self, _rho_min=None, _series=None, _star_grid=[None], **kwargs)
 
     def to_dict(self):
@@ -207,6 +214,15 @@ def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
     return ValidationReport(star_ok=not failures, rho_min=rho_min, failures=tuple(failures))
 
 
+def _u_series(U, k):
+    """U's series at 0, to the order the readers of a datum with this k need."""
+    # The natural chart needs z to order 2k + 13, and z keeps k orders fewer
+    # than U (V loses k + 1 of them, the antiderivative gives one back).
+    order = min(3 * k + 13, MAX_ORDER)
+    require_order(k + 1, order, f"V = U'/s^k at k = {k} needs U's series")
+    return jet_eval(U, 0.0, order)
+
+
 def _number(name, value, kind=float):
     """value as kind, int or float; ValueError naming the field unless it is one.
 
@@ -269,11 +285,7 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
     if not (J[0] <= 0.0 <= J[1]) or J[0] >= J[1]:
         raise ValueError(f"J must be an interval containing 0, got {J!r}")
 
-    # The natural chart needs z to order 2k + 13, and z keeps k orders fewer
-    # than U (V loses k + 1 of them, the antiderivative gives one back).
-    order = min(3 * k + 13, MAX_ORDER)
-    require_order(k + 1, order, f"V = U'/s^k at k = {k} needs U's series")
-    u_jet = jet_eval(U, 0.0, order)
+    u_jet = _u_series(U, k)
     u0 = u_jet.coeffs[0]
     if not u0 > 0.0:
         raise NonPositiveU(f"U(0) = {u0!r} is not positive")

@@ -9,6 +9,7 @@ budget (default 2000) exists to fail loudly instead of spinning.
 from __future__ import annotations
 
 import heapq
+import math
 
 from .errors import QuadratureFailure
 
@@ -66,8 +67,10 @@ def integrate(f, a, b, tol=1e-12, max_subdivisions=2000):
     """Integral of f over [a, b] to absolute tolerance ``tol``.
 
     Returns (value, error_estimate). The orientation of [a, b] is honored
-    (a > b yields the negated integral).
+    (a > b yields the negated integral). ``tol`` must be positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if a == b:
         return 0.0, 0.0
     sign = 1.0

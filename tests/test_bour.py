@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bour_edge import bour, cusps, invariants, quadrature
-from bour_edge.errors import NegativeRadicand
-from bour_edge.profile import make_edge_data
+from bour_edge.errors import DomainError, NegativeRadicand
+from bour_edge.profile import make_edge_data, rho
 
 
 def simpson(f, a, b, panels=4096):
@@ -17,6 +17,16 @@ def simpson(f, a, b, panels=4096):
     for i in range(1, panels):
         total += (4 if i % 2 else 2) * f(a + i * h)
     return total * h / 3.0
+
+
+def z_integrand(d):
+    """w^k U rho / (m^2 U^2 - h^2): z' without its factor eps2 m, from the docstring."""
+    return lambda w: w**d.k * d.u_value(w) * rho(d, w) / (d.m**2 * d.u_value(w) ** 2 - d.h**2)
+
+
+def theta_integrand(d):
+    """w^k rho / (U (m^2 U^2 - h^2)): theta_s without its factor -eps2 h / m."""
+    return lambda w: w**d.k * rho(d, w) / (d.u_value(w) * (d.m**2 * d.u_value(w) ** 2 - d.h**2))
 
 
 def test_x_of_s_examples(edge_k1):
@@ -45,7 +55,7 @@ def test_z_at_zero_is_exactly_zero(edge_k1, edge_k2):
 
 def test_z_against_simpson_oracle(edge_k1):
     d = edge_k1
-    f = bour._z_integrand(d)
+    f = z_integrand(d)
     for s in (0.5, -0.35):
         expected = d.eps2 * d.m * simpson(f, 0.0, s)
         assert bour.z_of_s(d, s) == pytest.approx(expected, abs=1e-10)
@@ -53,7 +63,7 @@ def test_z_against_simpson_oracle(edge_k1):
 
 def test_theta_against_simpson_oracle(edge_k1):
     d = edge_k1
-    f = bour._theta_integrand(d)
+    f = theta_integrand(d)
     value = bour.theta(d, 0.5, 0.0)
     expected = -d.eps2 * d.h * simpson(f, 0.0, 0.5) / d.m
     assert value != 0.0
@@ -83,10 +93,11 @@ def test_near_zero_branch_agrees_with_quadrature(edge_k1):
     d = edge_k1
     for s in (2e-5, -7e-5, 9.9e-5):
         jet_value = bour.z_of_s(d, s)
-        quad_value = d.eps2 * d.m * quadrature.integrate(bour._z_integrand(d), 0.0, s, 1e-14)[0]
+        quad_value = d.eps2 * d.m * quadrature.integrate(z_integrand(d), 0.0, s, 1e-14)[0]
         assert jet_value == pytest.approx(quad_value, abs=1e-14)
-        jet_theta = bour._theta_integral(d, s, 1e-13)
-        quad_theta = quadrature.integrate(bour._theta_integrand(d), 0.0, s, 1e-15)[0]
+        # theta(s, 0) = -eps2 h / m times the raw integral; compared unscaled
+        jet_theta = bour.theta(d, s, 0.0, 1e-13) * d.m / (-d.eps2 * d.h)
+        quad_theta = quadrature.integrate(theta_integrand(d), 0.0, s, 1e-15)[0]
         assert jet_theta == pytest.approx(quad_theta, abs=1e-14)
 
 
@@ -232,8 +243,9 @@ def test_mesh_contains_exact_singular_row(edge_k1):
     assert mesh.s_values[mesh.singular_row] == 0.0
     assert np.all(np.diff(mesh.s_values) > 0)
     assert np.all(np.diff(mesh.t_values) > 0)
-    point = mesh.point(mesh.singular_row, 0)
+    point = bour.psi(edge_k1, float(mesh.s_values[mesh.singular_row]), float(mesh.t_values[0]))
     assert point.singular
+    assert point.position == tuple(mesh.positions[mesh.singular_row, 0])
     # default t-range spans a full turn
     assert mesh.t_values[-1] == pytest.approx(2.0 * math.pi * edge_k1.m)
 
@@ -263,6 +275,82 @@ def test_mesh_range_validation(edge_k1):
         bour.sample_mesh(edge_k1, (-2.0, 0.5), (0.0, 1.0), rows=4, cols=4)
     with pytest.raises(ValueError):
         bour.sample_mesh(edge_k1, (0.0, 0.5), (0.0, 1.0), rows=1, cols=4)
+
+
+def test_mesh_refuses_non_finite_or_reversed_ranges(edge_k1):
+    for s_range, t_range in (((0.5, -0.5), None), ((0.1, 0.1), None), ((math.nan, 0.5), None),
+                             (None, (0.0, math.nan)), (None, (1.0, 0.0)), (None, (-math.inf, 1.0))):
+        with pytest.raises(ValueError, match="must be finite with lo < hi"):
+            bour.sample_mesh(edge_k1, s_range, t_range, rows=3, cols=3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+def test_tolerances_that_are_not_positive_and_finite_are_refused(edge_k1, tol):
+    for call in (lambda: bour.z_of_s(edge_k1, 0.5, tol), lambda: bour.theta(edge_k1, 5e-5, 0.0, tol),
+                 lambda: bour.sample_mesh(edge_k1, rows=2, cols=2, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_floats_and_jets_refuse_the_same_angles(edge_k1, t):
+    with pytest.raises(DomainError, match="sin/cos"):
+        bour.psi(edge_k1, 0.3, t)
+    with pytest.raises(DomainError, match="sin/cos"):
+        bour.psi_jet_at_zero(edge_k1, t, 3)
+# Psi on a 5 x 3 mesh (rows, then cols) and at s = 5e-5, -3e-5 with t = 1.3,
+# by float.hex, as computed when z and theta were integrated from their raw
+# integrands. Defining them by z' and theta_s moves the last bits only.
+_DRIFT_REFERENCE = {
+    "readme": (
+        '0x1.a0e69f93983b2p-1 0x1.a178fbe5bb6f9p-5 -0x1.0bc6182499924p-2',
+        '-0x1.a0e69f93983b2p-1 -0x1.a178fbe5bb6fdp-5 0x1.779fd6af0489dp-2',
+        '0x1.a0e69f93983b3p-1 0x1.a178fbe5bb6bap-5 0x1.fd82e2c15152ep-1',
+        '0x1.ea9e2a43269f3p-1 0x1.f40d97eea7296p-7 -0x1.33a99a0197da0p-4',
+        '-0x1.ea9e2a43269f3p-1 -0x1.f40d97eea7251p-7 0x1.1b3dc4299c12cp-1',
+        '0x1.ea9e2a43269f3p-1 0x1.f40d97eea7118p-7 0x1.2e785dc9b5906p+0',
+        '0x1.f5a7cecdb684ap-1 0x0.0p+0 0x0.0p+0',
+        '-0x1.f5a7cecdb684ap-1 0x1.14add3361c4abp-53 0x1.41b2f769cf0e0p-1',
+        '0x1.f5a7cecdb684ap-1 -0x1.14add3361c4abp-52 0x1.41b2f769cf0e0p+0',
+        '0x1.0047c1bf0e6e8p+0 0x1.f91621ca39dffp-7 -0x1.33e70c851a2e0p-4',
+        '-0x1.0047c1bf0e6e8p+0 -0x1.f91621ca39d59p-7 0x1.1b3615d92bc84p-1',
+        '0x1.0047c1bf0e6e8p+0 0x1.f91621ca39d12p-7 0x1.2e7486a17d6b2p+0',
+        '0x1.2428ddb6222afp+0 0x1.ca53a0cc32f49p-5 -0x1.0e1d4f57289c4p-2',
+        '-0x1.2428ddb6222afp+0 -0x1.ca53a0cc32f45p-5 0x1.75489f7c757fdp-2',
+        '0x1.2428ddb6222afp+0 0x1.ca53a0cc32f32p-5 0x1.fc57472809cdep-1',
+        '0x1.0c626faeabb53p-2 0x1.e35fcfad9483ap-1 0x1.0a3d708ecc8e2p-2',
+        '0x1.0c626fb151b0ep-2 0x1.e35fcfad36495p-1 0x1.0a3d709c43e7dp-2',
+    ),
+    "edge_k2": (
+        '0x1.0d51b8bbec4e1p+0 -0x1.43d24322ce0c0p-7 0x1.8ed4b36e3ef7bp-4',
+        '-0x1.0d51b8bbec4e1p+0 0x1.43d24322ce097p-7 0x1.a56824455ecc0p-2',
+        '0x1.0d51b8bbec4e1p+0 -0x1.43d24322ce0e1p-7 0x1.738d8dd796ed0p-1',
+        '0x1.ff565db2de562p-1 -0x1.690bd3f57c476p-10 0x1.c0cb60966af91p-7',
+        '-0x1.ff565db2de562p-1 0x1.690bd3f57c4aap-10 0x1.4fb9526e8265dp-2',
+        '0x1.ff565db2de562p-1 -0x1.690bd3f57cedcp-10 0x1.48b624ec28b9ep-1',
+        '0x1.fd6efe4c9b8a5p-1 0x0.0p+0 0x0.0p+0',
+        '-0x1.fd6efe4c9b8a5p-1 0x1.18f80700db071p-53 0x1.41b2f769cf0e0p-2',
+        '0x1.fd6efe4c9b8a5p-1 -0x1.18f80700db071p-52 0x1.41b2f769cf0e0p-1',
+        '0x1.ff565db2de566p-1 0x1.690bd3f57c473p-10 -0x1.c0cb60966af89p-7',
+        '-0x1.ff565db2de566p-1 -0x1.690bd3f57c045p-10 0x1.33ac9c651bb64p-2',
+        '0x1.ff565db2de566p-1 0x1.690bd3f57c60ep-10 0x1.3aafc9e775622p-1',
+        '0x1.0d51b8bbec4e1p+0 0x1.43d24322ce0c0p-7 -0x1.8ed4b36e3ef7bp-4',
+        '-0x1.0d51b8bbec4e1p+0 -0x1.43d24322ce003p-7 0x1.bbfb951c7ea02p-3',
+        '0x1.0d51b8bbec4e1p+0 0x1.43d24322cdfb8p-7 0x1.0fd860fc072f1p-1',
+        '0x1.108bb74643074p-2 0x1.eade6f318b2adp-1 0x1.0a3d70a3d6acep-3',
+        '0x1.108bb746430cbp-2 0x1.eade6f318b29fp-1 0x1.0a3d70a3d71e7p-3',
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture_name, name", [("edge_k1", "readme"), ("edge_k2", "edge_k2")])
+def test_mesh_vertices_keep_their_reference_values(request, fixture_name, name):
+    d = request.getfixturevalue(fixture_name)
+    mesh = bour.sample_mesh(d, rows=5, cols=3)
+    points = [tuple(mesh.positions[r, c]) for r in range(5) for c in range(3)]
+    points += [bour.psi(d, s, 1.3).position for s in (5e-5, -3e-5)]
+    reference = [[float.fromhex(v) for v in text.split()] for text in _DRIFT_REFERENCE[name]]
+    assert np.max(np.abs(np.array(points) - np.array(reference))) <= 1e-14
 
 
 def test_form_csv_layout(edge_k1, tmp_path):

@@ -310,6 +310,43 @@ def test_quad_tol_reaches_the_roundtrip(capsys, datum_file, monkeypatch):
     assert seen == [1e-10]
 
 
+def test_quad_tol_reaches_the_canonical_parameter(capsys, datum_file, monkeypatch):
+    from bour_edge import natural
+    seen = []
+    canonical = natural.canonical_from_speed
+    monkeypatch.setattr(natural, "canonical_from_speed",
+                        lambda *a: seen.append(a[-1]) or canonical(*a))
+    code, _, _ = run_cli(capsys, "roundtrip", "--datum", datum_file, "--quad-tol", "1e-10")
+    assert code == 0
+    assert seen == [1e-10]
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize("command, option", [
+    (["build", "--out", "OUT"], "--quad-tol"), (["roundtrip"], "--quad-tol"),
+    (["classify"], "--tol"), (["classify-curve", "--expr-x", "s^2", "--expr-y", "s^3"], "--tol"),
+])
+def test_a_tolerance_that_is_not_positive_and_finite_is_usage_error(capsys, datum_file, tmp_path,
+                                                                    command, option, value):
+    datum = [] if command[0] == "classify-curve" else ["--datum", datum_file]
+    argv = [arg.replace("OUT", str(tmp_path / "out")) for arg in command]
+    code, out, err = run_cli(capsys, *argv, *datum, option, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"bour-edge: error: {option} must be positive and finite, got {float(value)!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--t-range", "0", "nan"], ["--s-range", "0.5", "-0.5"],
+                                   ["--s-range", "nan", "0.5"], ["--t-range", "1", "1"]])
+def test_build_refuses_non_finite_or_reversed_ranges(capsys, datum_file, tmp_path, flags):
+    code, out, err = run_cli(capsys, "build", "--datum", datum_file, "--out", str(tmp_path / "out"), *flags)
+    assert code == 2
+    assert out == ""
+    assert "must be finite with lo < hi" in err
+    assert not (tmp_path / "out" / "mesh.obj").exists()
+
+
 # -- datum files: every field is checked by make_edge_data ---------------------
 
 _EVIDENCE = [("k", 1.7), ("eps0", 1.9), ("eps2", -1.5), ("k", True), ("m", True), ("k", "1"),

@@ -228,6 +228,21 @@ def test_canonical_parameter_wrong_multiplicity():
         canonical_parameter([parse_expr("s^3"), parse_expr("s^4")], 0.0, 1, (-1.0, 1.0))
 
 
+@pytest.mark.parametrize("k", [6, 7])
+def test_canonical_parameter_up_to_the_highest_k_its_jets_carry(k):
+    # gamma = (u^(k+1), u^(k+2)) has multiplicity k + 1 at 0; |dgamma/ds| = |s|^k
+    cp = canonical_parameter([parse_expr(f"s^{k + 1}"), parse_expr(f"s^{k + 2}")], 0.0, k, (-0.5, 0.5))
+    for u in (-0.4, -0.1, 0.2, 0.45):
+        speed = math.hypot((k + 1) * u**k, (k + 2) * u ** (k + 1))
+        assert speed / float(cp.dsdu_of_u(u)) == pytest.approx(abs(cp(u)) ** k, rel=1e-6)
+
+
+def test_canonical_parameter_past_its_jets_is_refused():
+    with pytest.raises(ValueError, match="canonical parameter at k = 8 needs the curve's series "
+                                         "at s = 0 to order 17, but they stop at order 16"):
+        canonical_parameter([parse_expr("s^9"), parse_expr("s^10")], 0.0, 8, (-0.5, 0.5))
+
+
 def test_classify_edge_examples(edge_k1, edge_k2):
     assert classify_edge(edge_k1).tag == "3/2"
     assert classify_edge(edge_k2).tag == "4/3"

@@ -287,6 +287,24 @@ def test_replaced_copies_carry_no_star_grid(edge_k1):
     assert moved.star_grid[1][0] == moved.u_value(-0.5)
 
 
+def test_a_replaced_U_or_k_gets_its_own_series(edge_k1, edge_k2):
+    from bour_edge import bour
+
+    text = "2 - s*cos(s) + sin(s)"
+    copy = edge_k1.replace(U=text)
+    rebuilt = make_edge_data(text, h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1, k=1, J=(-0.8, 0.8))
+    assert copy == rebuilt
+    assert copy.u_jet.coeffs == rebuilt.u_jet.coeffs
+    assert copy.v_jet.coeffs == rebuilt.v_jet.coeffs
+    assert bour.z_of_s(copy, 5e-5) == bour.z_of_s(rebuilt, 5e-5)
+    # edge_k2's U' vanishes to order 2, so it makes a k = 1 datum as well
+    as_k1 = make_edge_data(edge_k2.U, h=0.1, m=1.0, eps0=1, eps1=1, eps2=-1, k=1, J=(-0.7, 0.7))
+    again = as_k1.replace(k=2)
+    assert again.u_jet.coeffs == edge_k2.u_jet.coeffs
+    assert again.v_jet.coeffs == edge_k2.v_jet.coeffs
+    assert edge_k1.replace(h=0.1).u_jet is edge_k1.u_jet
+
+
 def test_a_scan_on_another_grid_keeps_no_star_grid(edge_k1):
     copy = edge_k1.replace(h=0.1)
     check_star(copy, 64)

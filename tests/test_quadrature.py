@@ -65,3 +65,12 @@ def test_cumulative_descending_nodes():
     cumulative = integrate_cumulative(math.cos, nodes, 1e-13)
     for node, value in zip(nodes, cumulative):
         assert value == pytest.approx(math.sin(node), abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+def test_tolerances_that_are_not_positive_and_finite_are_refused(tol):
+    # a NaN tolerance used to end the loop after one panel
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate(math.cos, 0.0, 1.0, tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate_cumulative(math.cos, [0.0, 0.5, 1.0], tol)

@@ -111,6 +111,17 @@ def cases():
                   ["-0.5", "0.5", "-3"], ["-0.5", "0.5", "1"]):
         yield "readme", README, ["roundtrip", "--datum", "datum.json", "--s-probe", *probe]
 
+    # tolerances that are not positive and finite, and mesh ranges that are
+    # not finite with lo < hi
+    build = ["build", "--datum", "datum.json", "--out", "out"]
+    for argv in ([*build, "--quad-tol", "nan"], ["roundtrip", "--datum", "datum.json", "--quad-tol", "-1"],
+                 ["classify", "--datum", "datum.json", "--tol", "nan"],
+                 ["classify", "--datum", "datum.json", "--tol", "-1"],
+                 [*build, "--t-range", "0", "nan"], [*build, "--s-range", "0.5", "-0.5"],
+                 [*build, "--s-range", "nan", "0.5"]):
+        yield "readme", README, argv
+    yield "curve", None, ["classify-curve", "--expr-x", "s^2", "--expr-y", "s^3", "--tol", "nan"]
+
 
 def run_case(main, payload, argv):
     """(exit code, SHA-256 hex) of one case, run in a fresh temporary directory."""
