@@ -29,8 +29,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import quadrature
 from ._fmt import fmt17
@@ -38,6 +37,9 @@ from ._version import __version__
 from .expr import check_angle
 from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
 from .profile import EdgeData, sqrt_at, star_radicand, x_squared
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Pointwise evaluation switches to the series at 0 inside this radius.
 NEAR_ZERO_RADIUS = 1e-4
@@ -201,7 +203,7 @@ def fundamental_form_from(data: EdgeData, s, sk, u, v):
 
 def _snap_zero_row(values):
     """Force the grid value closest to 0 to be exactly 0; returns its index."""
-    idx = int(np.argmin(np.abs(values)))
+    idx = min(range(len(values)), key=lambda i: abs(values[i]))
     values[idx] = 0.0
     return idx
 
@@ -211,6 +213,8 @@ def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60, to
 
     Each range is (lo, hi) with finite lo < hi; s_range lies in J.
     """
+    import numpy as np
+
     if rows < 2 or cols < 2:
         raise ValueError("rows and cols must be at least 2")
     s_range = data.J if s_range is None else s_range

@@ -14,9 +14,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import bour, cusps, deform, invariants, natural
+from . import bour, cusps  # the option defaults; neither imports numpy until it builds arrays
 from ._fmt import to_json17
 from .errors import BourEdgeError, ExprSyntaxError
 from .expr import parse_expr
@@ -190,6 +188,8 @@ def cmd_build(args):
 
 
 def cmd_invariants(args):
+    from . import invariants
+
     data = _build_datum(args)
     report = invariants.compute_invariant_report(data)
     _emit(invariants.report_to_dict(report), args, "invariants.json")
@@ -208,6 +208,8 @@ def cmd_classify(args):
 
 
 def cmd_deform(args):
+    from . import deform
+
     data = _build_datum(args)
     family = deform.deformation_family(data, args.h_span, args.m_span, args.nh, args.nm)
     doc = {
@@ -224,6 +226,8 @@ def cmd_deform(args):
 
 
 def cmd_invert(args):
+    from . import deform
+
     data = _build_datum(args)
     result = deform.invert_invariants(data, (args.target_kappa_nu, args.target_kappa_t))
     doc = {"h": result.h, "m": result.m, "iterations": result.iterations,
@@ -236,6 +240,8 @@ def cmd_invert(args):
 
 
 def cmd_isomers(args):
+    from . import deform
+
     data = _build_datum(args)
     iso = deform.isomers(data)
     doc = {
@@ -258,6 +264,10 @@ def cmd_isomers(args):
 
 
 def cmd_roundtrip(args):
+    import numpy as np
+
+    from . import natural
+
     probe = None
     if args.s_probe:
         lo, hi, count = args.s_probe
@@ -294,6 +304,13 @@ def _report_error(args, code, exc):
     return code
 
 
+_TOLERANCES = (
+    ("quad_tol", "positive", lambda value: 0.0 < value < math.inf),
+    ("tol", "positive", lambda value: 0.0 < value < math.inf),
+    ("zero_tol", "non-negative", lambda value: 0.0 <= value < math.inf),
+)
+
+
 def main(argv=None):
     parser = make_parser()
     try:
@@ -301,10 +318,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        for name in ("quad_tol", "tol"):  # float() accepts nan, inf and negatives
+        # float() accepts nan, inf and negatives; a zero tolerance of 0 asks for exact zeros
+        for name, need, ok in _TOLERANCES:
             value = getattr(args, name, None)
-            if value is not None and not 0.0 < value < math.inf:
-                raise UsageError(f"--{name.replace('_', '-')} must be positive and finite, got {value!r}")
+            if value is not None and not ok(value):
+                raise UsageError(f"--{name.replace('_', '-')} must be {need} and finite, got {value!r}")
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         return _report_error(args, EXIT_USAGE, exc)

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._vec import dot, max_abs
 from .errors import NotDiffeo, UnsupportedK, WrongMultiplicity
 from .expr import SmoothFn
 from .jets import (
@@ -45,9 +45,13 @@ from .jets import (
     jet_sqrt,
     require_order,
 )
-from .pchip import Pchip
 from .profile import EdgeData
 from .quadrature import integrate_cumulative
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .pchip import Pchip
 
 DEFAULT_TOL = 1e-8
 
@@ -89,7 +93,7 @@ class PlaneCurveJet:
         return self.x.order
 
     def derivative(self, j):
-        return np.array([self.x.derivative_value(j), self.y.derivative_value(j)])
+        return self.x.derivative_value(j), self.y.derivative_value(j)
 
     @staticmethod
     def from_functions(fx: SmoothFn, fy: SmoothFn, base=0.0, order=7):
@@ -97,35 +101,37 @@ class PlaneCurveJet:
 
 
 def _det2(a, b):
-    return float(a[0] * b[1] - a[1] * b[0])
+    return a[0] * b[1] - a[1] * b[0]
 
 
 def classify_plane_cusp(curve: PlaneCurveJet, tol=DEFAULT_TOL) -> CuspType:
     if curve.order < 7:
         raise ValueError("classification needs jets of order at least 7")
     d = [curve.derivative(j) for j in range(8)]
-    scale = max(float(np.max(np.abs(v))) for v in d[1:])
+    scale = max(max_abs(v) for v in d[1:])
     scale = max(scale, 1e-300)
 
     def vec_zero(v):
-        return float(np.max(np.abs(v))) <= tol * scale
+        return max_abs(v) <= tol * scale
 
     def det_zero(x):
         return abs(x) <= tol * scale * scale
 
     if not vec_zero(d[1]):
-        return CuspType(TAG_REGULAR, {"gamma1_norm": float(np.max(np.abs(d[1])))})
+        return CuspType(TAG_REGULAR, {"gamma1_norm": max_abs(d[1])})
 
     if not vec_zero(d[2]):
         det_32 = _det2(d[2], d[3])
         if not det_zero(det_32):
             return CuspType(TAG_32, {"det_32": det_32})
-        c1 = float(d[3] @ d[2] / (d[2] @ d[2]))
-        det_52 = _det2(d[2], 3.0 * d[5] - 10.0 * c1 * d[4])
+        d2_sq = dot(d[2], d[2])  # 0 only by underflow; c1 is then NaN, as is det_52
+        c1 = dot(d[3], d[2]) / d2_sq if d2_sq > 0.0 else math.nan
+        det_52 = _det2(d[2], [3.0 * a - 10.0 * c1 * b for a, b in zip(d[5], d[4])])
         if not det_zero(det_52):
             return CuspType(TAG_52, {"det_32": det_32, "c1": c1, "det_52": det_52})
-        c2 = float((d[5] - (10.0 / 3.0) * c1 * d[4]) @ d[2] / (d[2] @ d[2]))
-        det_72 = _det2(d[2], d[7] - 7.0 * c1 * d[6] - (7.0 * c2 - (70.0 / 3.0) * c1**3) * d[4])
+        c2 = dot([a - (10.0 / 3.0) * c1 * b for a, b in zip(d[5], d[4])], d[2]) / d2_sq
+        w = 7.0 * c2 - (70.0 / 3.0) * c1**3
+        det_72 = _det2(d[2], [a - 7.0 * c1 * b - w * c for a, b, c in zip(d[7], d[6], d[4])])
         if not det_zero(det_72):
             return CuspType(
                 TAG_72,
@@ -172,8 +178,8 @@ def reparam_invariance_check(curve: PlaneCurveJet, phi: SmoothFn, tol=DEFAULT_TO
     if c1 is None:
         d2 = curve.derivative(2)
         d3 = curve.derivative(3)
-        denom = float(d2 @ d2)
-        c1 = float(d3 @ d2 / denom) if denom > 0.0 else math.nan
+        denom = dot(d2, d2)
+        c1 = dot(d3, d2) / denom if denom > 0.0 else math.nan
     p1 = phi_jet.derivative_value(1)
     p2 = phi_jet.derivative_value(2)
     derived_c1 = c1 * p1 + 3.0 * p2 / p1
@@ -217,6 +223,10 @@ def canonical_from_speed(speed, speed_sq_jet, u0, k, interval, n_samples=512, qu
     quadrature, to ``quad_tol``, loses digits there); the two branches are
     stitched at the band edge.
     """
+    import numpy as np
+
+    from .pchip import Pchip
+
     lo, hi = interval
     if not (lo < u0 < hi):
         raise ValueError(f"u0 = {u0!r} must be interior to {interval!r}")
@@ -287,15 +297,15 @@ def canonical_parameter(curve, u0, k, interval, n_samples=512, tol=DEFAULT_TOL):
     # The speed^2 series keeps order - 1 and loses 2k orders to its zero.
     require_order(2 * k + 1, order, f"the canonical parameter at k = {k} needs the curve's series")
     jets = [jet_eval(f, u0, order) for f in comps]
-    derivs = [np.array([j.derivative_value(i) for j in jets]) for i in range(min(2 * k + 4, order + 1))]
-    scale = max(float(np.max(np.abs(v))) for v in derivs[1:])
+    derivs = [tuple(j.derivative_value(i) for j in jets) for i in range(min(2 * k + 4, order + 1))]
+    scale = max(max_abs(v) for v in derivs[1:])
     scale = max(scale, 1e-300)
     for i in range(1, n):
-        if float(np.max(np.abs(derivs[i]))) > tol * scale:
+        if max_abs(derivs[i]) > tol * scale:
             raise WrongMultiplicity(
                 f"derivative {i} does not vanish at u0 = {u0!r}: {derivs[i]!r}"
             )
-    if float(np.max(np.abs(derivs[n]))) <= tol * scale:
+    if max_abs(derivs[n]) <= tol * scale:
         raise WrongMultiplicity(f"derivative {n} vanishes at u0 = {u0!r}")
 
     def speed(u):

@@ -14,10 +14,9 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bour, cusps, invariants
 from ._fmt import fmt17
+from ._vec import max_abs, solve2
 from .errors import BourEdgeError, DomainError, NoConvergence, StarViolation
 from .jets import jet_sqrt, variable_jet
 from .profile import EdgeData, rho, sibling, sqrt_at
@@ -45,6 +44,8 @@ class DeformationFamily:
 
 
 def _metric_sample_points(data, count=METRIC_SAMPLE_COUNT):
+    import numpy as np
+
     rng = np.random.default_rng(METRIC_SEED)
     lo, hi = data.J
     ss = rng.uniform(0.9 * lo, 0.9 * hi, count)
@@ -96,6 +97,8 @@ def metric_deviation(a: EdgeData, b: EdgeData, points=None, *, reference=None):
 
 def _grid_axis(name, center, span, count, floor=-math.inf):
     """count values over center +- span (the lower end clipped to floor); [center] for 1."""
+    import numpy as np
+
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count!r}")
     if count == 1:
@@ -145,6 +148,8 @@ def jacobian_det(data: EdgeData):
 
 def jacobian_fd(data: EdgeData, step=1e-5):
     """Finite-difference determinant of the same map, for cross-checking."""
+    import numpy as np
+
     u0 = data.u_value(0.0)
     v0 = data.v_jet.coeffs[0]
 
@@ -164,8 +169,8 @@ def _psi_and_jacobian(u0, v0, h, m):
         by_m = invariants.kappa_map(u0, v0, h, variable_jet(m, 1), jet_sqrt)
     except DomainError:
         return None, None
-    psi = np.array([j.value for j in by_h])
-    return psi, np.array([[dh.coeffs[1], dm.coeffs[1]] for dh, dm in zip(by_h, by_m)])
+    psi = tuple(j.value for j in by_h)
+    return psi, tuple((dh.coeffs[1], dm.coeffs[1]) for dh, dm in zip(by_h, by_m))
 
 
 @dataclass(frozen=True)
@@ -185,18 +190,18 @@ def invert_invariants(data0: EdgeData, target, tol=1e-12, max_iterations=50) -> 
     """
     u0 = data0.u_value(0.0)
     v0 = data0.v_jet.coeffs[0]
-    target = np.asarray(target, dtype=float)
+    target_nu, target_t = (float(v) for v in target)
     h, m = data0.h, data0.m
     psi, jac = _psi_and_jacobian(u0, v0, h, m)
     if psi is None:
         raise StarViolation("starting datum has non-positive radicand at 0")
     for iteration in range(max_iterations):
-        residual = psi - target
-        if float(np.max(np.abs(residual))) < tol:
+        residual = (psi[0] - target_nu, psi[1] - target_t)
+        if max_abs(residual) < tol:
             solved = sibling(data0, h, m)  # re-checks the star condition on J
             return InversionResult(h=h, m=m, data=solved, iterations=iteration,
-                                   residual=float(np.max(np.abs(residual))))
-        step = np.linalg.solve(jac, -residual)
+                                   residual=max_abs(residual))
+        step = solve2(jac, (-residual[0], -residual[1]))
         scale = 1.0
         while scale > 1e-12:
             h_new, m_new = h + scale * step[0], m + scale * step[1]
@@ -219,8 +224,8 @@ class HelixInvariants:
 
 def singular_helix_invariants(data: EdgeData) -> HelixInvariants:
     """Radius and |dz/dtheta| of the singular curve, from sampled points."""
-    p0 = np.array(bour.psi(data, 0.0, 0.0).position)
-    p1 = np.array(bour.psi(data, 0.0, 0.5).position)
+    p0 = bour.psi(data, 0.0, 0.0).position
+    p1 = bour.psi(data, 0.0, 0.5).position
     radius = math.hypot(p0[0], p0[1])
     dtheta = bour.theta(data, 0.0, 0.5) - bour.theta(data, 0.0, 0.0)
     dz = p1[2] - p0[2]
@@ -256,6 +261,8 @@ def revolution_path(data: EdgeData, steps) -> list:
     """Members along the linear pitch schedule h0 -> 0 (all remain valid)."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    import numpy as np
+
     out = []
     for h in np.linspace(data.h, 0.0, steps):
         out.append(sibling(data, float(h), data.m))

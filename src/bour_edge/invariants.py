@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._vec import cross, dot
 from .bour import psi_jet_at_zero, x_of_s
 from .errors import LadderViolated
 from .jets import require_order
@@ -72,13 +71,13 @@ def psi_t_at_zero(data: EdgeData, t=0.0):
     x0 = x_of_s(data, 0.0)
     th = _helix_theta(data, t)
     rate = data.eps1 / data.m
-    return np.array([-x0 * math.sin(th) * rate, x0 * math.cos(th) * rate, data.h * rate])
+    return (-x0 * math.sin(th) * rate, x0 * math.cos(th) * rate, data.h * rate)
 
 def psi_tt_at_zero(data: EdgeData, t=0.0):
     x0 = x_of_s(data, 0.0)
     th = _helix_theta(data, t)
     rate = data.eps1 / data.m
-    return np.array([-x0 * math.cos(th) * rate**2, -x0 * math.sin(th) * rate**2, 0.0])
+    return (-x0 * math.cos(th) * rate**2, -x0 * math.sin(th) * rate**2, 0.0)
 
 
 def unit_normal_at_zero(data: EdgeData, t=0.0):
@@ -88,12 +87,11 @@ def unit_normal_at_zero(data: EdgeData, t=0.0):
     r0 = rho(data, 0.0)
     th = _helix_theta(data, t)
     e2, h, m = data.eps2, data.h, data.m
-    return (-e2 / x0) * np.array(
-        [
-            e2 * r0 * math.cos(th) - h * m * v0 * math.sin(th),
-            e2 * r0 * math.sin(th) + h * m * v0 * math.cos(th),
-            -data.eps0 * m * v0 * x0,
-        ]
+    scale = -e2 / x0
+    return (
+        scale * (e2 * r0 * math.cos(th) - h * m * v0 * math.sin(th)),
+        scale * (e2 * r0 * math.sin(th) + h * m * v0 * math.cos(th)),
+        scale * (-data.eps0 * m * v0 * x0),
     )
 
 
@@ -102,17 +100,13 @@ def kappa_nu_numeric(data: EdgeData, t=0.0):
     pt = psi_t_at_zero(data, t)
     ptt = psi_tt_at_zero(data, t)
     nu = unit_normal_at_zero(data, t)
-    return float(ptt @ nu / (pt @ pt))
+    return dot(ptt, nu) / dot(pt, pt)
 
 
 def _s_derivative(data, t, j, order=None):
     """Psi_{s^j}(0, t) as a vector, from the component jets."""
     jets = psi_jet_at_zero(data, t, j if order is None else order)
-    return np.array([jet.derivative_value(j) for jet in jets])
-
-
-def _det3(a, b, c):
-    return float(np.linalg.det(np.column_stack([a, b, c])))
+    return tuple(jet.derivative_value(j) for jet in jets)
 
 
 def kappa_t_numeric(data: EdgeData, t=0.0, step=1e-5):
@@ -127,16 +121,16 @@ def kappa_t_numeric(data: EdgeData, t=0.0, step=1e-5):
         return _s_derivative(data, tv, n)
 
     def central(hh):
-        return (eta_n(t + hh) - eta_n(t - hh)) / (2.0 * hh)
+        return tuple((a - b) / (2.0 * hh) for a, b in zip(eta_n(t + hh), eta_n(t - hh)))
 
-    mixed = (4.0 * central(step / 2.0) - central(step)) / 3.0
+    mixed = tuple((4.0 * a - b) / 3.0 for a, b in zip(central(step / 2.0), central(step)))
     pt = psi_t_at_zero(data, t)
     ptt = psi_tt_at_zero(data, t)
     en = eta_n(t)
-    cross = np.cross(pt, en)
-    cross_sq = float(cross @ cross)
-    term1 = _det3(pt, en, mixed) / cross_sq
-    term2 = float(pt @ en) * _det3(pt, en, ptt) / (float(pt @ pt) * cross_sq)
+    normal = cross(pt, en)  # det(pt, en, v) = normal . v
+    cross_sq = dot(normal, normal)
+    term1 = dot(normal, mixed) / cross_sq
+    term2 = dot(pt, en) * dot(normal, ptt) / (dot(pt, pt) * cross_sq)
     return term1 - term2
 
 
@@ -198,13 +192,13 @@ def omega_numeric(data: EdgeData, i, t=0.0):
     if not 1 <= i <= n:
         raise ValueError(f"omega index i = {i!r} outside 1..{n}")
     jets = psi_jet_at_zero(data, t, n + i)
-    eta_n = np.array([jet.derivative_value(n) for jet in jets])
-    eta_ni = np.array([jet.derivative_value(n + i) for jet in jets])
+    eta_n = tuple(jet.derivative_value(n) for jet in jets)
+    eta_ni = tuple(jet.derivative_value(n + i) for jet in jets)
     xi = psi_t_at_zero(data, t)
-    xi_norm = math.sqrt(float(xi @ xi))
-    cross = np.cross(xi, eta_n)
-    cross_norm = math.sqrt(float(cross @ cross))
-    det = _det3(xi, eta_n, eta_ni)
+    xi_norm = math.sqrt(dot(xi, xi))
+    normal = cross(xi, eta_n)
+    cross_norm = math.sqrt(dot(normal, normal))
+    det = dot(normal, eta_ni)  # det(xi, eta_n, eta_ni)
     return xi_norm ** ((n + i) / n) * det / cross_norm ** ((2 * n + i) / n)
 
 

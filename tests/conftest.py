@@ -87,3 +87,21 @@ def high_k_data():
                           eps0=1, eps1=1, eps2=1, k=k, J=(-0.4, 0.4))
         for k in range(3, 8)
     }
+
+
+@pytest.fixture(scope="session")
+def digest_data(edge_k1, edge_k2):
+    """Four data of tools/cli_digest.py, for the reference-value tests: README, k = 2,
+    six powers and k = 10."""
+    return {
+        "readme": edge_k1,
+        "edge_k2": edge_k2,
+        "six_powers": make_edge_data(
+            "1.2 + 0.2*(1 - cos(s)) + 0.1*s^2 - 0.05*s^3 + 0.02*s^4 + 0.1*s^5 - 0.03*s^6",
+            h=0.3, m=1.1, eps0=1, eps1=1, eps2=-1, k=1, J=(-0.45, 0.45),
+        ),
+        "high_k10": make_edge_data(
+            f"1 + {0.2 / 11!r}*s^11 + 0.01*s^22", h=0.1, m=1.0, eps0=1, eps1=1, eps2=1,
+            k=10, J=(-0.4, 0.4),
+        ),
+    }

@@ -337,6 +337,29 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_usage_error(capsys, datu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_zero_tolerance_that_is_not_non_negative_and_finite_is_usage_error(capsys, datum_file,
+                                                                             tmp_path, value, as_json):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "validate", "--datum", datum_file, "--zero-tol", value,
+                             "--out", str(out_dir), *(["--json"] if as_json else []))
+    message = f"--zero-tol must be non-negative and finite, got {float(value)!r}"
+    assert code == 2
+    assert out == ""
+    if as_json:
+        assert json.loads(err) == {"error": "UsageError", "message": message, "exit_code": 2}
+    else:
+        assert err == f"bour-edge: error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_a_zero_tolerance_of_zero_is_accepted(capsys, datum_file):
+    code, out, _ = run_cli(capsys, "validate", "--datum", datum_file, "--zero-tol", "0")
+    assert code == 0
+    assert json.loads(out)["star_ok"] is True
+
+
 @pytest.mark.parametrize("flags", [["--t-range", "0", "nan"], ["--s-range", "0.5", "-0.5"],
                                    ["--s-range", "nan", "0.5"], ["--t-range", "1", "1"]])
 def test_build_refuses_non_finite_or_reversed_ranges(capsys, datum_file, tmp_path, flags):

@@ -299,3 +299,68 @@ def test_classifiers_agree_under_reparametrization(edge_k1):
     curve = profile_curve_jet(edge_k1, order=9)
     reparam, _ = reparametrize_curve(curve, parse_expr("s + 0.3*s^2"))
     assert classify_plane_cusp(PlaneCurveJet(reparam.x.truncated(7), reparam.y.truncated(7))).tag == "3/2"
+
+
+def _hex_witnesses(result):
+    return result.tag, {k: v.hex() if isinstance(v, float) else v for k, v in result.witnesses.items()}
+
+
+# Classifications at 4850ab0, when the dot products went through numpy (BLAS,
+# which fuses multiply-adds here), witnesses by float.hex. The first three curves
+# read other c1 or c2 bytes from unfused dot products.
+CURVE_WITNESSES = [
+    ("0.660008*(1.0*s^2 + -1.678737*s^3 + -0.387151*s^4 + 1.380421*s^5 + -1.921867*s^6 + 0.216421*s^7)",
+     "-0.65704*(1.0*s^2 + -1.678737*s^3 + -0.387151*s^4 + 1.380421*s^5 + -1.921867*s^6 + 0.216421*s^7)"
+     " + 1.259453*s^5",
+     ("5/2", {"det_32": "0x1.0000000000000p-49", "c1": "-0x1.425147f130597p+2",
+              "det_52": "0x1.2b3fe9b828f29p+9"})),
+    ("1.979784*(1.0*s^2 + -0.121921*s^3 + -1.050708*s^4 + -1.14241*s^5 + -1.805178*s^6 + -0.604908*s^7)",
+     "0.364624*(1.0*s^2 + -0.121921*s^3 + -1.050708*s^4 + -1.14241*s^5 + -1.805178*s^6 + -0.604908*s^7)"
+     " + -1.02102*s^7",
+     ("7/2", {"det_32": "-0x1.0000000000000p-52", "c1": "-0x1.768a936c58eeap-2", "det_52": "0x0.0p+0",
+              "c2": "-0x1.4fab03341d571p+6", "det_72": "-0x1.3e5ecf61d0cb5p+14"})),
+    ("-0.978417*(1.0*s^2 + 0.362674*s^3 + 0.850225*s^4 + 1.785725*s^5 + -0.449685*s^6 + 0.9183*s^7)",
+     "-0.732257*(1.0*s^2 + 0.362674*s^3 + 0.850225*s^4 + 1.785725*s^5 + -0.449685*s^6 + 0.9183*s^7)",
+     ("undetermined", {"det_32": "0x1.0000000000000p-51", "c1": "0x1.16889c1b54196p+0",
+                       "det_52": "-0x1.0000000000000p-43", "c2": "0x1.189057c42e8ffp+6",
+                       "det_72": "-0x1.8000000000000p-39"})),
+    ("-0.036776*s^2 + -1.60802*s^3 + 0.5199*s^4 + -0.792623*s^5 + 0.835114*s^6 + 1.260856*s^7",
+     "-0.687301*s^2 + -0.952396*s^3 + 0.439649*s^4 + -0.988361*s^5 + 0.986765*s^6 + -0.705404*s^7",
+     ("3/2", {"det_32": "-0x1.9af1d6944be38p+3"})),
+    ("0.245393*s^3 + 1.418759*s^4 + 1.853109*s^5 + 0.811925*s^6 + -1.403156*s^7",
+     "1.790904*s^3 + 0.08597*s^4 + -0.288382*s^5 + -0.788065*s^6 + 1.757804*s^7",
+     ("4/3", {"det_43": "-0x1.6ad89b697209ep+8"})),
+    ("0.309716*(1.0*s^3 + 0.64806*s^4 + 1.225436*s^5 + 0.371132*s^6 + 1.781815*s^7)",
+     "-0.942233*(1.0*s^3 + 0.64806*s^4 + 1.225436*s^5 + 0.371132*s^6 + 1.781815*s^7) + -0.580787*s^5",
+     ("5/3", {"det_43": "0x1.0000000000000p-48", "det_53": "-0x1.03069ab51c04ep+7"})),
+    ("s + 1.0*s^2 + -0.920196*s^3 + 1.542845*s^4 + 1.744792*s^5 + -0.80169*s^6 + 1.790496*s^7",
+     "1.0*s^2 + -0.920196*s^3 + 1.542845*s^4 + 1.744792*s^5 + -0.80169*s^6 + 1.790496*s^7",
+     ("regular", {"gamma1_norm": "0x1.0000000000000p+0"})),
+]
+
+# (classify_edge, classify_edge_via_profile) of the digest data at 4850ab0.
+EDGE_WITNESSES = {
+    "readme": (("3/2", {"U3": "0x1.0000000000000p+1"}), ("3/2", {"det_32": "0x1.0aaaaaaaaaaacp+1"})),
+    "edge_k2": (("4/3", {"U4": "0x1.8000000000002p+2"}), ("4/3", {"det_43": "0x1.83e0f83e0f840p+3"})),
+    "six_powers": (("3/2", {"U3": "-0x1.3333333333334p-2"}),
+                   ("3/2", {"det_32": "-0x1.8f6b72f42722ep-2"})),
+    "high_k10": (None, ("undetermined", {"note": "multiplicity exceeds 3"})),
+}
+
+
+@pytest.mark.parametrize("x, y, want", CURVE_WITNESSES, ids=[want[0] for _, _, want in CURVE_WITNESSES])
+def test_curve_witnesses_keep_their_bytes(x, y, want):
+    curve = PlaneCurveJet.from_functions(parse_expr(x), parse_expr(y), 0.0, 7)
+    assert _hex_witnesses(classify_plane_cusp(curve)) == want
+
+
+@pytest.mark.parametrize("name", EDGE_WITNESSES)
+def test_edge_witnesses_keep_their_bytes(digest_data, name):
+    by_edge, by_profile = EDGE_WITNESSES[name]
+    data = digest_data[name]
+    if by_edge is None:
+        with pytest.raises(UnsupportedK):
+            classify_edge(data)
+    else:
+        assert _hex_witnesses(classify_edge(data)) == by_edge
+    assert _hex_witnesses(classify_edge_via_profile(data)) == by_profile

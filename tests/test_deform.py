@@ -196,3 +196,30 @@ def test_metric_deviation_of_a_different_U_is_large(edge_k1):
     other = make_edge_data("1.1 - s*cos(s) + sin(s)", h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1,
                            k=1, J=(-0.8, 0.8))
     assert deform.metric_deviation(edge_k1, other) > 0.2  # G = U^2 moves by about 0.2
+
+
+# (datum, target kappa_nu, target kappa_t, h, m) at 4850ab0, when Newton's step
+# went through numpy.linalg.solve, by float.hex. The targets are the invariants
+# of seeded (h, m) siblings.
+INVERSIONS = [
+    ("readme", "0x1.e863a7ea9a600p-1", "0x1.21127defc9856p-3", "0x1.36e3f78bbd380p-3", "0x1.097c3d68405b4p+0"),
+    ("readme", "0x1.d2b168d9f24d9p-1", "0x1.a7b8ee53525d9p-3", "0x1.e4ffc9795b35ap-3", "0x1.11e2cdc011d36p+0"),
+    ("readme", "0x1.0bb92416aa04dp+0", "0x1.39c799c07a69ap-3", "0x1.18df7a4e7ab75p-3", "0x1.e468cac4b4d05p-1"),
+    ("readme", "0x1.0c56589a081cfp+0", "0x1.28cf35843342bp-3", "0x1.0913a4f8726d0p-3", "0x1.e3db5d894812cp-1"),
+    ("readme", "0x1.0a72396752b4cp+0", "0x1.26b531340a8fcp-2", "0x1.f974e65bea0bcp-3", "0x1.da224edf61241p-1"),
+    ("readme", "0x1.08f561e04ac2dp+0", "0x1.db41d8ca21d16p-3", "0x1.a66d373affb07p-3", "0x1.e2b4528283d37p-1"),
+    ("edge_k2", "0x1.eb39be2cefd66p-1", "0x1.cb277e290ccb9p-5", "0x1.f11d798d8a97dp-5", "0x1.0a5f5275ee99bp+0"),
+    ("edge_k2", "0x1.d3e9b74b8cfeep-1", "0x1.8e94168262fffp-4", "0x1.d7e02645e4e68p-4", "0x1.168bc169c23b8p+0"),
+    ("edge_k2", "0x1.0c42afe03b442p+0", "0x1.5d1faa71d5af4p-4", "0x1.3bd9cae21101ep-4", "0x1.e6fdc9c4da902p-1"),
+    ("edge_k2", "0x1.ecb5c39b58e0dp-1", "0x1.dae52bf07da0cp-4", "0x1.f97891e215339p-4", "0x1.081cd5f99c38cp+0"),
+    ("edge_k2", "0x1.ec5259ab35cedp-1", "0x1.31f172482d393p-4", "0x1.48e79aae6c8f5p-4", "0x1.096ece13f4a98p+0"),
+    ("edge_k2", "0x1.e352c0e8ceec9p-1", "0x1.49aa655bfa015p-4", "0x1.6f46aa087ca63p-4", "0x1.0e3571d1d4739p+0"),
+]
+
+
+def test_inversions_keep_their_reference_values(digest_data):
+    for name, kappa_nu, kappa_t, h, m in INVERSIONS:
+        result = deform.invert_invariants(digest_data[name],
+                                          (float.fromhex(kappa_nu), float.fromhex(kappa_t)))
+        for got, want in ((result.h, float.fromhex(h)), (result.m, float.fromhex(m))):
+            assert abs(got - want) <= 4 * math.ulp(want)

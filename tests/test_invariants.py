@@ -37,7 +37,7 @@ def test_helix_acceleration_orthogonal_to_velocity(edge_k1):
     for t in (0.0, 1.0, 2.0):
         pt = inv.psi_t_at_zero(edge_k1, t)
         ptt = inv.psi_tt_at_zero(edge_k1, t)
-        assert abs(float(pt @ ptt)) < 1e-10
+        assert abs(float(np.dot(pt, ptt))) < 1e-10
 
 
 def test_kappa_nu_magnitude_bound(corpus):
@@ -210,3 +210,35 @@ def test_omega_ladder_past_the_series_names_the_orders():
     with pytest.raises(ValueError, match=r"^the omega ladder at k = 16 needs U's series at s = 0 "
                                          r"to order 33, but they stop at order 32 \(jets\.MAX_ORDER = 32\)$"):
         inv.omega(d, 1)
+
+
+# The oracles' values at 4850ab0, when they went through numpy (BLAS dot and
+# LAPACK det), by float.hex.
+ORACLE_REFERENCE = {
+    "readme": {"kappa_nu": "0x1.f5a7cecdb684ap-1", "kappa_t": "0x1.999999999999ap-3",
+               "omega_1": "-0x1.0547666079ba8p+1"},
+    "edge_k2": {"kappa_nu": "0x1.fd6efe4c9b8a5p-1", "kappa_t": "0x1.9999999999998p-4",
+                "omega_1": "-0x1.325101b60f36cp+1"},
+    "six_powers": {"kappa_nu": "0x1.50f96aa2bed7bp-1", "kappa_t": "0x1.609df8f26afe4p-3",
+                   "omega_1": "0x1.84f7a5695df9ep-2"},
+    "high_k10": {"kappa_nu": "0x1.f3092ece5bc36p-1", "kappa_t": "0x1.99999999786cdp-4",
+                 **{f"omega_{i}": "0x0.0p+0" for i in range(1, 11)},
+                 "beta": "0x1.a9d80af898648p+19"},
+}
+# At k = 10 the LAPACK determinant of beta's oracle was 9 ulp from the exact
+# determinant of the same three vectors; the triple product now reads it exactly,
+# which moves the oracle by 14 ulp (towards the closed form).
+ORACLE_ULPS = {("high_k10", "beta"): 16}
+
+
+@pytest.mark.parametrize("name", ORACLE_REFERENCE)
+def test_oracles_keep_their_reference_values(digest_data, name):
+    report = inv.compute_invariant_report(digest_data[name])
+    got = {"kappa_nu": report.kappa_nu.oracle, "kappa_t": report.kappa_t.oracle,
+           **{f"omega_{i}": pair.oracle for i, pair in report.omegas}}
+    if report.beta is not None:
+        got["beta"] = report.beta.oracle
+    assert got.keys() == ORACLE_REFERENCE[name].keys()
+    for key, want in ORACLE_REFERENCE[name].items():
+        want = float.fromhex(want)
+        assert abs(got[key] - want) <= ORACLE_ULPS.get((name, key), 4) * math.ulp(want), key

@@ -111,8 +111,8 @@ def cases():
                   ["-0.5", "0.5", "-3"], ["-0.5", "0.5", "1"]):
         yield "readme", README, ["roundtrip", "--datum", "datum.json", "--s-probe", *probe]
 
-    # tolerances that are not positive and finite, and mesh ranges that are
-    # not finite with lo < hi
+    # tolerances that are not positive (or, for --zero-tol, non-negative) and
+    # finite, and mesh ranges that are not finite with lo < hi
     build = ["build", "--datum", "datum.json", "--out", "out"]
     for argv in ([*build, "--quad-tol", "nan"], ["roundtrip", "--datum", "datum.json", "--quad-tol", "-1"],
                  ["classify", "--datum", "datum.json", "--tol", "nan"],
@@ -121,6 +121,8 @@ def cases():
                  [*build, "--s-range", "nan", "0.5"]):
         yield "readme", README, argv
     yield "curve", None, ["classify-curve", "--expr-x", "s^2", "--expr-y", "s^3", "--tol", "nan"]
+    for value in ("nan", "-1", "inf"):
+        yield "readme", README, ["validate", "--datum", "datum.json", "--zero-tol", value]
 
 
 def run_case(main, payload, argv):
