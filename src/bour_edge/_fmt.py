@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 def fmt17(x):
     if isinstance(x, float):
@@ -35,6 +37,8 @@ def to_json17(obj, indent=0):
     if obj is None:
         return "null"
     if isinstance(obj, float):
+        if obj in (math.inf, -math.inf):  # the spelling json.loads reads, as for NaN
+            return "Infinity" if obj > 0 else "-Infinity"
         return fmt17(obj)
     if isinstance(obj, int):
         return str(obj)

@@ -16,7 +16,9 @@ The singular curve is s = 0 and the first fundamental form is
 E = s^(2k), F = 0, G = U(s)^2. z(s) and theta(s, 0) are the integrals of z'
 and theta_s from 0: by adaptive Gauss-Kronrod quadrature to the absolute
 tolerance ``tol`` away from 0, and by term-wise integrated jets inside a small
-band around 0, where tiny integration ranges would otherwise cancel.
+band around 0, where tiny integration ranges would otherwise cancel. A
+surface row (``psi``, ``sample_mesh``) integrates the pair (z', theta_s) in
+one pass, each component to ``tol``.
 
 Every series at s = 0 is cut from the datum's U and V series:
 ``series_at_zero`` builds those of x, z and theta(., 0) once per datum
@@ -140,8 +142,14 @@ def theta(data: EdgeData, s, t, tol=DEFAULT_TOL):
 
 
 def _row(data: EdgeData, s, tol):
-    """(x, z, theta(s, 0)) at s: what Psi reads of s."""
-    return x_of_s(data, s), z_of_s(data, s, tol), _integral(data, 3, s, tol)
+    """(x, z, theta(s, 0)) at s: what Psi reads of s. Away from 0 and for h != 0, z and
+    theta(s, 0) come from one quadrature of the pair (z', theta_s), each component to
+    ``tol``."""
+    x = x_of_s(data, s)
+    if data.h == 0.0 or abs(s) < NEAR_ZERO_RADIUS:
+        return x, z_of_s(data, s, tol), _integral(data, 3, s, tol)
+    (z, theta0), _ = quadrature.integrate(lambda w: _rates(data, w)[2:], 0.0, s, tol)
+    return x, z, theta0
 
 
 def _sin_cos(angle):

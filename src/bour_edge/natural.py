@@ -14,8 +14,13 @@ in which the metric is s^(2k) ds^2 + U(s)^2 dt^2:
   2. the canonical parameter s(u) of that speed (|d gamma~/ds| = |s|^k);
   3. U(s) = sqrt(x(u(s))^2 + h^2).
 
-The shear phi(u) and U(s) are tabulated and read between nodes through the
-in-repo PCHIP (``pchip.Pchip``), as the canonical parameter is.
+The shear phi(u) and U(s) are tabulated on the canonical parameter's nodes
+and read between them through the in-repo PCHIP (``pchip.Pchip``), as the
+canonical parameter is. The sheared speed and phi' are integrated together,
+in one pass of tuple-valued quadrature over those nodes, from one
+``profile.rates`` call per quadrature point; near u0 both integrals come
+from jets, so phi(u0) = 0 exactly. ``roundtrip``'s metric check reads the
+speed stored at each node.
 
 ``roundtrip`` drives this pipeline on a profile read back from a Bour datum
 and compares the recovered metric function with the original U.
@@ -26,9 +31,9 @@ alone; ``rates(u) -> (x, xdot, zdot)``; and ``jets(u0, order) -> (x jet,
 z jet)``. ``HelicoidalInput`` gives all of these from two expressions.
 ``BourProfile`` reads a datum (h and J are the datum's), and
 ``ReparamProfile`` re-reads a profile in a chart's s on the chart's s-range;
-these two give jets at 0 only. The speeds, the shear rate and the genericity
-check read each point once, with one call, so a Bour profile evaluates
-bour.profile_rates once per point.
+these two give jets at 0 only. The speed and the shear rate read each point
+once, with one call, as the genericity check does, so a Bour profile
+evaluates bour.profile_rates once per point.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .expr import SmoothFn
 from .jets import Jet, jet_compose, jet_eval, jet_sqrt, require_order
 from .pchip import Pchip
 from .profile import EdgeData
-from .quadrature import integrate_cumulative
 
 DEFAULT_SAMPLES = 256
 DEFAULT_TABULATION = 512
@@ -157,8 +161,9 @@ def _sheared_speed_sq(x, xd, zd, h):
     return xd * xd + zd * zd * x_sq / (x_sq + h * h)
 
 
-def _sheared_speed(profile, u):
-    return math.sqrt(_sheared_speed_sq(*profile.rates(u), profile.h))
+def _shear_rate(x, zd, h):
+    """phi' = h zdot / (x^2 + h^2); floats or jets."""
+    return h * zd / (x * x + h * h)
 
 
 def singular_set(profile, n_samples=DEFAULT_SAMPLES):
@@ -226,8 +231,7 @@ class NaturalChart:
     U_table: np.ndarray
     U_of_s: Pchip
     U_jet: Jet  # jet of U at s = 0
-    phi_nodes: np.ndarray
-    phi_table: np.ndarray
+    phi_table: np.ndarray  # phi on the canonical nodes, phi(u0) = 0
     phi_of_u: Pchip
     max_low_derivative: float  # max |U^(i)(0)|, 1 <= i <= k
 
@@ -238,6 +242,10 @@ class NaturalChart:
     @property
     def s_table(self):
         return self.canonical.s_table
+
+    @property
+    def phi_nodes(self):
+        return self.canonical.u_table
 
     def to_dict(self):
         return {
@@ -254,25 +262,17 @@ class NaturalChart:
 
 
 def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_TOL):
-    """The natural chart (s, t) of the profile's surface around the singular point u0."""
+    """The natural chart (s, t) of the profile's surface around the singular point u0.
+
+    The canonical parameter integrates the sheared speed and the shear rate
+    phi' in one pass over its nodes (``canonical_from_speed``), so each
+    quadrature point's rates are read once. phi is tabulated on those nodes;
+    near u0 it comes from its jet, which makes phi(u0) = 0 exact.
+    """
     report = check_generic(profile, u0, k)
     if not report.ok:
         raise ValueError("not a generic singular point: " + "; ".join(report.failures))
     h = profile.h
-    lo, hi = profile.interval
-
-    phi_nodes = np.unique(np.concatenate([np.linspace(lo, hi, n_tab), [u0]]))
-    if h == 0.0:
-        phi_table = np.zeros_like(phi_nodes)
-    else:
-        def phi_integrand(u):
-            x, _, zd = profile.rates(u)
-            return h * zd / (x**2 + h**2)
-
-        cumulative = np.array(integrate_cumulative(phi_integrand, [float(v) for v in phi_nodes], quad_tol))
-        at_u0 = float(cumulative[int(np.argmin(np.abs(phi_nodes - u0)))])
-        phi_table = cumulative - at_u0
-    phi_of_u = Pchip(phi_nodes, phi_table)
 
     order = 2 * k + 12
     xj, zj = profile.jets(u0, order + 1)
@@ -280,10 +280,16 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
     # chart's U series must still reach U^(k).
     require_order(3 * k + 1, min(xj.order, zj.order),
                   f"the natural chart at k = {k} needs the x and z series")
-    speed_sq_jet = _sheared_speed_sq(xj, xj.differentiate(), zj.differentiate(), h)
+    xdj, zdj = xj.differentiate(), zj.differentiate()
+    jets = (_sheared_speed_sq(xj, xdj, zdj, h), _shear_rate(xj, zdj, h))
 
-    canonical = canonical_from_speed(lambda u: _sheared_speed(profile, u), speed_sq_jet,
-                                     u0, k, profile.interval, n_tab, quad_tol)
+    def rates(u):
+        x, xd, zd = profile.rates(u)
+        return math.sqrt(_sheared_speed_sq(x, xd, zd, h)), _shear_rate(x, zd, h)
+
+    canonical = canonical_from_speed(rates, jets, u0, k, profile.interval, n_tab, quad_tol)
+    phi_table = canonical.integral_tables[0]
+    phi_of_u = Pchip(canonical.u_table, phi_table)
 
     x_values = np.array([profile.x_value(float(u)) for u in canonical.u_table])
     U_table = np.sqrt(x_values**2 + h**2)
@@ -296,7 +302,7 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
     return NaturalChart(
         u0=u0, k=k, h=h, canonical=canonical,
         U_table=U_table, U_of_s=U_of_s, U_jet=U_jet,
-        phi_nodes=phi_nodes, phi_table=phi_table, phi_of_u=phi_of_u,
+        phi_table=phi_table, phi_of_u=phi_of_u,
         max_low_derivative=max_low,
     )
 
@@ -341,16 +347,17 @@ def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=Q
     for sp in inside:
         sup_u = max(sup_u, abs(float(chart.U_of_s(sp)) / m_hat - data.u_value(sp)))
 
-    dsdu_interp = chart.canonical.s_of_u.derivative()
+    canonical = chart.canonical
+    dsdu_interp = canonical.s_of_u.derivative()
     sup_metric = 0.0
-    for u, s, U_rec in zip(chart.u_table, chart.s_table, chart.U_table):
-        u, s = float(u), float(s)
+    for u, s, U_rec, speed in zip(chart.u_table.tolist(), chart.s_table.tolist(),
+                                  chart.U_table.tolist(), canonical.speed_table.tolist()):
         if s < s_lo * 0.98 or s > s_hi * 0.98:
             continue
         g_rec = (U_rec / m_hat) ** 2
         sup_metric = max(sup_metric, abs(g_rec - data.u_value(s) ** 2))
         if abs(u) > 1e-3:
-            e_rec = (_sheared_speed(profile, u) / float(dsdu_interp(u))) ** 2
+            e_rec = (speed / float(dsdu_interp(u))) ** 2
             sup_metric = max(sup_metric, abs(e_rec - s ** (2 * data.k)))
     return RoundtripReport(sup_error_U=sup_u, sup_error_metric=sup_metric, m_hat=m_hat, chart=chart)
 

@@ -1,9 +1,18 @@
-"""Adaptive Gauss-Kronrod 7-15 quadrature.
+"""Adaptive Gauss-Kronrod 7-15 quadrature, for scalar and tuple-valued integrands.
 
 Panels are split largest-error-first until the summed error estimate drops
 below the requested absolute tolerance. All integrands in this package are
 smooth, so the scheme converges in a handful of panels; the subdivision
 budget (default 2000) exists to fail loudly instead of spinning.
+
+An integrand may return a tuple of floats, as vector-valued adaptive
+cubature allows (Berntsen, Espelid & Genz, DCUHRE, ACM TOMS 17, 1991): all
+components share the 15 evaluations of each panel and one subdivision. Each
+component must reach the tolerance on its own, and the panel split next is
+the one holding the largest component error. A one-component tuple follows
+the scalar path bit for bit, so there is one adaptive loop for both. The
+package reads several integrals of one point's rates this way: the canonical
+speed with the shear phi', and z with theta(s, 0).
 """
 
 from __future__ import annotations
@@ -43,75 +52,111 @@ _WG = (
 )
 
 
-def _kronrod_panel(f, a, b):
-    """(K15 estimate, error estimate) on [a, b]."""
+def _panel(f, a, b):
+    """K15 estimates and error estimates on [a, b], one of each per component.
+
+    f returns a float or a tuple of floats; the third item says which. Every
+    component is computed from the same 15 evaluations, each in the order of
+    the scalar rule, so one component gives the scalar rule's bits.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
-    result_g = _WG[3] * fc
-    result_k = _WGK[7] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        s = f(mid - dx) + f(mid + dx)
-        result_k += _WGK[i] * s
-        if i % 2 == 1:
-            result_g += _WG[i // 2] * s
-    result_g *= half
-    result_k *= half
-    diff = abs(result_k - result_g)
-    err = diff if diff >= 1.25e-7 else (200.0 * diff) ** 1.5
-    return result_k, err
+    ys = [f(mid)]
+    for x in _XGK[:7]:
+        dx = half * x
+        ys.append(f(mid - dx))
+        ys.append(f(mid + dx))
+    scalar = not isinstance(ys[0], tuple)
+    values, errors = [], []
+    for col in ((ys,) if scalar else zip(*ys)):
+        result_g = _WG[3] * col[0]
+        result_k = _WGK[7] * col[0]
+        for i in range(7):
+            s = col[2 * i + 1] + col[2 * i + 2]
+            result_k += _WGK[i] * s
+            if i % 2 == 1:
+                result_g += _WG[i // 2] * s
+        result_g *= half
+        result_k *= half
+        diff = abs(result_k - result_g)
+        values.append(result_k)
+        errors.append(diff if diff >= 1.25e-7 else (200.0 * diff) ** 1.5)
+    return values, errors, scalar
+
+
+def _kronrod_panel(f, a, b):
+    """(K15 estimate, error estimate) of a scalar f on [a, b]."""
+    (value,), (err,), _ = _panel(f, a, b)
+    return value, err
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def integrate(f, a, b, tol=1e-12, max_subdivisions=2000):
     """Integral of f over [a, b] to absolute tolerance ``tol``.
 
-    Returns (value, error_estimate). The orientation of [a, b] is honored
-    (a > b yields the negated integral). ``tol`` must be positive and finite.
+    Returns (value, error_estimate). f may return a tuple of floats instead
+    of a float; the result is then a tuple of values and a tuple of error
+    estimates, all from one subdivision: each component must reach ``tol``
+    on its own, and the panel split next is the one holding the largest
+    component error. One component follows the scalar path exactly. The
+    orientation of [a, b] is honored (a > b yields the negated integral).
+    ``tol`` must be positive and finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     if a == b:
-        return 0.0, 0.0
+        y = f(a)  # read only for its shape
+        zero = 0.0 if not isinstance(y, tuple) else (0.0,) * len(y)
+        return zero, zero
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
-    value, err = _kronrod_panel(f, a, b)
-    heap = [(-err, a, b, value, err)]
-    total_err = err
-    total_val = value
+    values, errors, scalar = _panel(f, a, b)
+    heap = [(-max(errors), a, b, values, errors)]
+    total_val = values
+    total_err = errors
     panels = 1
-    while total_err > tol:
+    while any(e > tol for e in total_err):
         if panels >= max_subdivisions:
             raise QuadratureFailure(
-                f"tolerance {tol!r} not reached after {panels} panels (error {total_err!r})"
+                f"tolerance {tol!r} not reached after {panels} panels (error {max(total_err)!r})"
             )
         _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        lv, le = _kronrod_panel(f, pa, pm)
-        rv, re = _kronrod_panel(f, pm, pb)
-        total_val += lv + rv - pval
-        total_err += le + re - perr
-        heapq.heappush(heap, (-le, pa, pm, lv, le))
-        heapq.heappush(heap, (-re, pm, pb, rv, re))
+        lv, le, _ = _panel(f, pa, pm)
+        rv, re, _ = _panel(f, pm, pb)
+        total_val = [t + (l + r - p) for t, l, r, p in zip(total_val, lv, rv, pval)]
+        total_err = [t + (l + r - p) for t, l, r, p in zip(total_err, le, re, perr)]
+        heapq.heappush(heap, (-max(le), pa, pm, lv, le))
+        heapq.heappush(heap, (-max(re), pm, pb, rv, re))
         panels += 1
-    return sign * total_val, total_err
+    if scalar:
+        return sign * total_val[0], total_err[0]
+    return tuple(sign * v for v in total_val), tuple(total_err)
 
 
 def integrate_cumulative(f, nodes, tol=1e-12, max_subdivisions=2000):
     """Cumulative integrals of f from nodes[0] to each node.
 
     Segment integrals are computed adaptively with a per-segment tolerance
-    share proportional to segment length, then prefix-summed.
+    share proportional to segment length, then prefix-summed. A
+    tuple-valued f gives a list of tuples, each segment in one ``integrate``
+    pass.
     """
     if len(nodes) < 2:
         return [0.0] * len(nodes)
     total_len = abs(nodes[-1] - nodes[0])
-    out = [0.0]
-    acc = 0.0
+    out = []
+    acc = None
     for a, b in zip(nodes[:-1], nodes[1:]):
         seg_tol = tol * max(abs(b - a) / total_len, 1e-3) if total_len > 0 else tol
         val, _ = integrate(f, a, b, seg_tol, max_subdivisions)
-        acc += val
+        if acc is None:
+            acc = 0.0 if not isinstance(val, tuple) else (0.0,) * len(val)
+            out.append(acc)
+        acc = acc + val if not isinstance(val, tuple) else tuple(s + v for s, v in zip(acc, val))
         out.append(acc)
     return out

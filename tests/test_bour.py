@@ -398,3 +398,19 @@ def test_series_at_zero_is_cut_from_the_datum(monkeypatch):
     assert d.series[1].order == d.v_jet.order + 1 == 2 * d.k + 13
     d.replace(h=0.1).series  # a sibling builds its own
     assert series_calls == [1, 1]
+
+
+def test_row_reads_z_and_theta_from_one_pass(corpus, edge_k1, edge_k2):
+    # for h != 0 the pair (z', theta_s) shares one subdivision, each component
+    # to tol; for h = 0, z alone is integrated, as by z_of_s
+    for d in [edge_k1, edge_k2] + corpus[:8]:
+        for s in np.linspace(d.J[0], d.J[1], 13):
+            s = float(s)
+            x, z, theta0 = bour._row(d, s, 1e-12)
+            assert x == bour.x_of_s(d, s)
+            separate = (bour.z_of_s(d, s, 1e-12), bour.theta(d, s, 0.0, 1e-12))
+            if d.h == 0.0 or abs(s) < bour.NEAR_ZERO_RADIUS:
+                assert (z, theta0) == separate
+            else:
+                assert abs(z - separate[0]) <= 1e-15
+                assert abs(theta0 - separate[1]) <= 1e-15

@@ -488,3 +488,24 @@ def test_deform_refuses_a_grid_count_below_one(capsys, datum_file, flag, count):
     assert code == 2
     assert out == ""
     assert err == f"bour-edge: error: {flag[2:]} must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("x, y, det_32", [("1e200*s^2", "1e200*s^3", math.inf),
+                                           ("1e200*s^2", "s^3*(-1e200)", -math.inf),
+                                           ("1e-200*s^2", "1e-200*s^3", 0.0)])
+def test_classify_curve_json_parses_at_any_scale(capsys, x, y, det_32):
+    # det_32 of the raw derivatives overflows (or underflows); the JSON spells
+    # an infinity as json.loads reads it
+    code, out, _ = run_cli(capsys, "classify-curve", "--expr-x", x, "--expr-y", y)
+    assert code == 0
+    assert json.loads(out) == {"tag": "3/2", "witnesses": {"det_32": det_32}}
+
+
+def test_json_spells_infinities_as_json_loads_reads_them():
+    from bour_edge._fmt import fmt17, to_json17
+    doc = {"a": math.inf, "b": [-math.inf, 1.5], "c": math.nan}
+    text = to_json17(doc)
+    assert '"a": Infinity' in text and "[-Infinity, 1.5]" in text and '"c": NaN' in text
+    back = json.loads(text)
+    assert back["a"] == math.inf and back["b"] == [-math.inf, 1.5] and math.isnan(back["c"])
+    assert (fmt17(math.inf), fmt17(-math.inf)) == ("inf", "-inf")  # OBJ and CSV text keep theirs

@@ -364,3 +364,34 @@ def test_edge_witnesses_keep_their_bytes(digest_data, name):
     else:
         assert _hex_witnesses(classify_edge(data)) == by_edge
     assert _hex_witnesses(classify_edge_via_profile(data)) == by_profile
+
+
+@pytest.mark.parametrize("factor", ["1e-200", "1e200", "-1e-200", "1e-300"])
+def test_tiny_and_huge_cusps_are_32(factor):
+    # products of the raw derivatives underflow (or overflow) at these scales
+    curve = PlaneCurveJet.from_functions(parse_expr(f"{factor}*s^2"), parse_expr(f"{factor}*s^3"))
+    result = classify_plane_cusp(curve)
+    assert result.tag == "3/2"
+    assert not any(math.isnan(v) for v in result.witnesses.values())
+
+
+@pytest.mark.parametrize("x, y, want", CURVE_WITNESSES, ids=[want[0] for _, _, want in CURVE_WITNESSES])
+@pytest.mark.parametrize("power", [-300, 3, 300])
+def test_scaling_by_a_power_of_two_scales_the_witnesses_exactly(x, y, want, power):
+    curve = PlaneCurveJet.from_functions(parse_expr(x), parse_expr(y), 0.0, 7)
+    scaled = PlaneCurveJet(Jet(0.0, tuple(math.ldexp(c, power) for c in curve.x.coeffs)),
+                           Jet(0.0, tuple(math.ldexp(c, power) for c in curve.y.coeffs)))
+    result = classify_plane_cusp(scaled)
+    tag, witnesses = want
+    assert result.tag == tag
+    for key, value in witnesses.items():
+        degree = {"c1": 0, "c2": 0, "gamma1_norm": 1}.get(key, 2)
+        assert result.witnesses[key] == math.ldexp(float.fromhex(value), degree * power)
+
+
+def test_reparam_invariance_check_derives_c1_on_a_tiny_curve():
+    # the derived c1 comes from gamma'' and gamma''' when the tag carries no c1
+    phi = parse_expr("s + 0.3*s^2")
+    unit = PlaneCurveJet.from_functions(parse_expr("s^2"), parse_expr("s^3"))
+    tiny = PlaneCurveJet.from_functions(parse_expr("1e-200*s^2"), parse_expr("1e-200*s^3"))
+    assert reparam_invariance_check(tiny, phi)[2] == reparam_invariance_check(unit, phi)[2]

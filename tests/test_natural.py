@@ -248,3 +248,104 @@ def test_roundtrip_for_higher_k(high_k_data, k):
 def test_roundtrip_refuses_probes_outside_the_chart(edge_k1):
     with pytest.raises(ValueError, match="no s_probe point lies in the chart's s-range"):
         natural.roundtrip(edge_k1, s_probe=np.linspace(5.0, 6.0, 10), n_tab=128)
+
+
+# Sampled chart tables and roundtrip reports at 6dda1d8, whose phi table and
+# canonical speed came from two separate quadratures, by float.hex. The speed
+# now shares one pass with phi' and must keep these bytes.
+_CHART_INDICES = (0, 37, 74, 111, 148, 185, 222, 259, 296, 333, 370, 407, 444, 481, 518, 555, 574)
+_CHART_REFERENCE = {
+    "edge_k1": {
+        "report": {"sup_error_U": "0x1.5f173e0000000p-30", "sup_error_metric": "0x1.8c00000000000p-46",
+                   "m_hat": "0x1.0000000000000p+0"},
+        "s": ("-0x1.999999999999bp-1 -0x1.5e2af7c4915e3p-1 -0x1.22bc55ef8922cp-1 -0x1.ce9b683501ceap-2 "
+              "-0x1.57be248af157cp-2 -0x1.c1c1c1c1c1c1dp-3 -0x1.a80e74db41a82p-4 -0x1.cac083126e979p-11 "
+              "0x1.26e978d4fdf3cp-12 0x1.67ce349b0167ep-5 0x1.47ae147ae147bp-3 0x1.1ab44de7811acp-2 "
+              "0x1.919191919191ap-2 0x1.04376a9dd1044p-1 0x1.3fa60c72d93fap-1 0x1.7b14ae47e17b2p-1 "
+              "0x1.999999999999bp-1"),
+        "U": ("0x1.ae15b2267ae51p-1 0x1.cbea242b90628p-1 0x1.e1bf4ac7babaap-1 0x1.f095486ed18e2p-1 "
+              "0x1.f99dddb38d317p-1 0x1.fe337e330a13bp-1 0x1.ffcf91ec678a2p-1 0x1.fffffffe14f12p-1 "
+              "0x1.0000000008276p+0 0x1.0001d9bfc4245p+0 0x1.00593fe7bc1bcp+0 0x1.01c82fb829bcdp+0 "
+              "0x1.05114fedbcb4ep+0 0x1.0aea6e748e41fp+0 0x1.13f77493ef5d2p+0 0x1.20c5b7fbefc4bp+0 "
+              "0x1.28f526ecc28d8p+0"),
+    },
+    "edge_k2": {
+        "report": {"sup_error_U": "0x1.3764440000000p-30", "sup_error_metric": "0x1.8000000000000p-50",
+                   "m_hat": "0x1.0000000000000p+0"},
+        "s": ("-0x1.6666666666666p-1 -0x1.326598cbff326p-1 -0x1.fcc996632ffcbp-2 -0x1.94c7fb2e6194cp-2 "
+              "-0x1.2cc65ff9932ccp-2 -0x1.8989898989899p-3 -0x1.730ca63fd9731p-4 -0x1.cac083126e979p-11 "
+              "0x1.26e978d4fdf3cp-12 0x1.3ad46e07a13adp-5 0x1.1eb851eb851ecp-3 0x1.eebb885521eebp-3 "
+              "0x1.5f5f5f5f5f5f5p-2 0x1.c760fa942dc74p-2 0x1.17b14ae47e17ap-1 0x1.4bb2187ee54bap-1 "
+              "0x1.6666666666666p-1"),
+        "U": ("0x1.0e8b861ac23dap+0 0x1.07e2c09ca3358p+0 0x1.03cb6711ad700p+0 0x1.0189221b73ecap+0 "
+              "0x1.0078c93b05c1ap+0 0x1.00163f16d9edap+0 0x1.00011a3235893p+0 0x1.0000000000294p+0 "
+              "0x1.0000000000008p+0 0x1.00000925ebb06p+0 0x1.000647c702af0p+0 0x1.00376ead5e0c2p+0 "
+              "0x1.00e02e2da09dap+0 0x1.0272ceabe2580p+0 0x1.05833064d4a70p+0 0x1.0ac189668b3e4p+0 "
+              "0x1.0e8b861ac23dap+0"),
+    },
+}
+
+
+@pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
+def test_chart_tables_and_report_keep_their_bytes(request, fixture_name):
+    want = _CHART_REFERENCE[fixture_name]
+    report = natural.roundtrip(request.getfixturevalue(fixture_name))
+    chart = report.chart
+    assert len(chart.s_table) == _CHART_INDICES[-1] + 1
+    for name, table in (("s", chart.s_table), ("U", chart.U_table)):
+        assert [float(table[i]).hex() for i in _CHART_INDICES] == want[name].split()
+    assert {k: v.hex() for k, v in report.to_dict().items()} == want["report"]
+
+
+@pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
+def test_roundtrip_report_fields_are_plain_floats(request, fixture_name):
+    # sup_error_metric was an np.float64 on edge_k2 at 6dda1d8
+    report = natural.roundtrip(request.getfixturevalue(fixture_name))
+    for value in report.to_dict().values():
+        assert type(value) is float
+
+
+@pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
+def test_phi_is_anchored_at_the_singular_point(request, fixture_name):
+    d = request.getfixturevalue(fixture_name)
+    chart = natural.roundtrip(d, n_tab=128).chart
+    assert chart.phi_of_u(chart.u0) == 0.0
+    assert list(chart.phi_nodes) == list(chart.u_table)
+    # phi(u) = int_0^u h zdot / (x^2 + h^2), near 0 (from the jet) and away from it
+    profile = natural.BourProfile(d)
+
+    def integrand(u):
+        x, _, zd = profile.rates(u)
+        return d.h * zd / (x**2 + d.h**2)
+
+    from bour_edge.quadrature import integrate
+    near = [i for i, u in enumerate(chart.u_table) if 0.0 < abs(u) <= 1e-3]
+    for i in near[::8] + list(range(0, len(chart.u_table), 16)):
+        expected, _ = integrate(integrand, 0.0, float(chart.u_table[i]), 1e-14)
+        assert float(chart.phi_table[i]) == pytest.approx(expected, abs=1e-11)
+
+
+def test_chart_speed_table_is_the_sheared_speed(edge_k1):
+    chart = natural.roundtrip(edge_k1, n_tab=128).chart
+    profile = natural.BourProfile(edge_k1)
+    for u, speed in zip(chart.u_table.tolist(), chart.canonical.speed_table.tolist()):
+        x, xd, zd = profile.rates(u)
+        direct = math.sqrt(natural._sheared_speed_sq(x, xd, zd, edge_k1.h))
+        if abs(u) > 1e-3:  # a node's own rates
+            assert speed == direct
+        else:  # the speed's jet inside the band
+            assert speed == pytest.approx(direct, abs=1e-15)
+
+
+def test_natural_coordinates_read_each_node_once(edge_k1):
+    class Counted(natural.BourProfile):
+        calls = 0
+
+        def rates(self, s):
+            Counted.calls += 1
+            return super().rates(s)
+
+    natural.natural_coordinates(Counted(edge_k1), 0.0, 1, n_tab=384)
+    # 11,872 calls at 6dda1d8, which integrated phi' and the speed in two
+    # passes on two node sets; 6,112 with one pass for both.
+    assert Counted.calls <= 6500

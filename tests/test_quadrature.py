@@ -74,3 +74,81 @@ def test_tolerances_that_are_not_positive_and_finite_are_refused(tol):
         integrate(math.cos, 0.0, 1.0, tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         integrate_cumulative(math.cos, [0.0, 0.5, 1.0], tol)
+
+
+_SCALAR_CASES = [
+    (math.sin, 0.0, math.pi, 1e-13),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, 1e-13),
+    (lambda x: math.sqrt(abs(x) + 1e-3), 0.7, -0.9, 1e-11),
+    (lambda x: x**7 - 3.0 * x, -2.0, 1.5, 1e-15),
+]
+
+
+@pytest.mark.parametrize("f,a,b,tol", _SCALAR_CASES)
+def test_one_component_pass_is_the_scalar_pass_bit_for_bit(f, a, b, tol):
+    value, err = integrate(f, a, b, tol)
+    assert integrate(lambda x: (f(x),), a, b, tol) == ((value,), (err,))
+    nodes = [a, 0.3 * a + 0.7 * b, b]
+    assert [v for (v,) in integrate_cumulative(lambda x: (f(x),), nodes, tol)] == \
+        integrate_cumulative(f, nodes, tol)
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def test_each_component_meets_tol_under_one_subdivision():
+    # cos needs one panel on [-1, 1]; the narrow Lorentzian needs many
+    easy, hard = math.cos, lambda x: 1.0 / (1.0 + 400.0 * x * x)
+    exact = (2.0 * math.sin(1.0), math.atan(20.0) / 10.0)
+    tol = 1e-12
+    counts = [_counted(easy), _counted(hard)]
+    for f in counts:
+        integrate(f, -1.0, 1.0, tol)
+    assert counts[0].calls == 15 < counts[1].calls
+    pair = _counted(lambda x: (easy(x), hard(x)))
+    values, errors = integrate(pair, -1.0, 1.0, tol)
+    assert pair.calls == counts[1].calls  # the hard component sets the subdivision
+    for value, err, want, f in zip(values, errors, exact, (easy, hard)):
+        assert err <= tol
+        assert abs(value - want) <= tol
+        assert abs(value - integrate(f, -1.0, 1.0, 1e-15)[0]) <= tol
+    # in either order
+    swapped, _ = integrate(lambda x: (hard(x), easy(x)), -1.0, 1.0, tol)
+    assert swapped == values[::-1]
+
+
+def test_vector_orientation_and_empty_interval():
+    f = lambda x: (math.cos(x), math.exp(x))  # noqa: E731
+    forward, _ = integrate(f, 0.0, 0.5, 1e-13)
+    backward, _ = integrate(f, 0.5, 0.0, 1e-13)
+    assert backward == tuple(-v for v in forward)
+    assert integrate(f, 0.3, 0.3) == ((0.0, 0.0), (0.0, 0.0))
+
+
+def test_vector_cumulative_matches_prefix_integrals():
+    nodes = [0.0, -0.3, -0.8]
+    cumulative = integrate_cumulative(lambda x: (math.cos(x), math.sin(x)), nodes, 1e-13)
+    assert cumulative[0] == (0.0, 0.0)
+    for node, (c, s) in zip(nodes, cumulative):
+        assert c == pytest.approx(math.sin(node), abs=1e-12)
+        assert s == pytest.approx(1.0 - math.cos(node), abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+def test_vector_integrands_refuse_the_same_tolerances(tol):
+    f = lambda x: (math.cos(x), x)  # noqa: E731
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate(f, 0.0, 1.0, tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate_cumulative(f, [0.0, 0.5, 1.0], tol)
+
+
+def test_vector_budget_failure():
+    f = lambda x: (math.cos(x), math.sqrt(abs(x)))  # noqa: E731
+    with pytest.raises(QuadratureFailure, match="not reached after 3 panels"):
+        integrate(f, 0.0, 1.0, 1e-15, max_subdivisions=3)
