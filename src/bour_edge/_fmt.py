@@ -6,13 +6,22 @@ import math
 
 
 def fmt17(x):
+    """A float at 17 significant digits as ``fill17`` writes it; anything else by ``str``."""
     if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x == 0.0:
-            return "0"
-        return format(x, ".17g")
+        return fill17("%.17g", (x,))
     return str(x)
+
+
+def fill17(template, values):
+    """``template % values`` for a template whose fields are all ``%.17g``.
+
+    Each value is written as a float, correctly rounded to 17 significant
+    digits, except that -0.0 is written ``0`` (adding 0.0 makes it +0.0) and NaN
+    is ``NaN`` (``%g`` writes ``nan``, which no other ``%.17g`` output contains);
+    infinities are ``inf`` and ``-inf``. The template's own text must not hold
+    ``nan``. One call formats a whole row of a mesh file.
+    """
+    return (template % tuple([v + 0.0 for v in values])).replace("nan", "NaN")
 
 
 def to_json17(obj, indent=0):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import quadrature
-from ._fmt import fmt17
+from ._fmt import fill17, fmt17
 from ._version import __version__
 from .expr import check_angle
 from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
@@ -210,16 +210,23 @@ def fundamental_form_from(data: EdgeData, s, sk, u, v):
 
 
 def _snap_zero_row(values):
-    """Force the grid value closest to 0 to be exactly 0; returns its index."""
+    """Set the grid value closest to 0 to exactly 0 and return its index; None, with
+    nothing set, when that value is an end of the grid other than 0."""
     idx = min(range(len(values)), key=lambda i: abs(values[i]))
+    if idx in (0, len(values) - 1) and values[idx] != 0.0:
+        return None
     values[idx] = 0.0
     return idx
 
 
 def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60, tol=DEFAULT_TOL):
-    """Sampled surface grid; contains the exact s = 0 row when 0 is in range.
+    """Sampled surface grid on evenly spaced s and t values.
 
-    Each range is (lo, hi) with finite lo < hi; s_range lies in J.
+    Each range is (lo, hi) with finite lo < hi, and its ends are the first and
+    last grid values exactly; s_range lies in J. When 0 is in s_range, the s
+    value nearest 0 is set to exactly 0 and its index is ``singular_row``,
+    unless that value is an end other than 0: the ends stay as requested, and
+    ``singular_row`` is None.
     """
     import numpy as np
 
@@ -240,10 +247,10 @@ def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60, to
     t_values = np.linspace(t_range[0], t_range[1], cols)
 
     positions = np.empty((rows, cols, 3))
-    for r, s in enumerate(s_values):
-        row = _row(data, float(s), tol)
-        for c, t in enumerate(t_values):
-            positions[r, c] = _assemble(data, float(t), *row, _sin_cos)
+    ts = t_values.tolist()
+    for r, s in enumerate(s_values.tolist()):
+        row = _row(data, s, tol)
+        positions[r] = [_assemble(data, t, *row, _sin_cos) for t in ts]
     return Mesh(s_values=s_values, t_values=t_values, positions=positions,
                 singular_row=singular_row, datum=data)
 
@@ -257,31 +264,31 @@ def write_obj(mesh: Mesh, target):
     out: io.TextIOBase = target
     out.write(f"# bour-edge {__version__} datum={mesh.datum.to_json()}\n")
     rows, cols = mesh.rows, mesh.cols
+    template = "v %.17g %.17g %.17g\n" * cols
     for r in range(rows):
-        for c in range(cols):
-            x, y, z = mesh.positions[r, c]
-            out.write(f"v {fmt17(float(x))} {fmt17(float(y))} {fmt17(float(z))}\n")
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            a = r * cols + c + 1
-            b = a + 1
-            d = a + cols
-            e = d + 1
-            out.write(f"f {a} {b} {e} {d}\n")
+        out.write(fill17(template, mesh.positions[r].ravel().tolist()))
+    out.writelines(f"f {a} {a + 1} {a + cols + 1} {a + cols}\n"
+                   for r in range(rows - 1) for a in range(r * cols + 1, (r + 1) * cols))
 
 
 def write_form_csv(data: EdgeData, s_values, t_values, target):
-    """CSV dump of the first fundamental form with columns s,t,E,F,G."""
+    """CSV dump of the first fundamental form with columns s,t,E,F,G.
+
+    E, F and G do not depend on t, so they are computed once per s.
+    """
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w") as fh:
             write_form_csv(data, s_values, t_values, fh)
         return
     out: io.TextIOBase = target
     out.write("s,t,E,F,G\n")
+    ts = [float(t) for t in t_values]
+    if not ts:
+        return
+    t_texts = [fmt17(t) for t in ts]
     for s in s_values:
-        for t in t_values:
-            form = first_fundamental_form(data, float(s), float(t))
-            out.write(
-                f"{fmt17(float(s))},{fmt17(float(t))},"
-                f"{fmt17(form.E)},{fmt17(form.F)},{fmt17(form.G)}\n"
-            )
+        s = float(s)
+        form = first_fundamental_form(data, s, ts[0])
+        s_text = fmt17(s)
+        tail = fill17(",%.17g,%.17g,%.17g\n", (form.E, form.F, form.G))
+        out.write("".join([f"{s_text},{t_text}{tail}" for t_text in t_texts]))

@@ -124,6 +124,11 @@ def cases():
     for value in ("nan", "-1", "inf"):
         yield "readme", README, ["validate", "--datum", "datum.json", "--zero-tol", value]
 
+    # an OBJ that holds -0.0 (written 0), and an s range whose ends lie nearer 0 than any
+    # inner row (the ends stay as requested)
+    yield "readme", README, [*build, "--eps0", "-1", "--rows", "7", "--cols", "5"]
+    yield "readme", README, [*build, "--rows", "2", "--cols", "2", "--s-range", "-0.5", "0.5"]
+
 
 def run_case(main, payload, argv):
     """(exit code, SHA-256 hex) of one case, run in a fresh temporary directory."""
