@@ -18,7 +18,9 @@ and theta_s from 0: by adaptive Gauss-Kronrod quadrature to the absolute
 tolerance ``tol`` away from 0, and by term-wise integrated jets inside a small
 band around 0, where tiny integration ranges would otherwise cancel. A
 surface row (``psi``, ``sample_mesh``) integrates the pair (z', theta_s) in
-one pass, each component to ``tol``.
+one pass, each component to ``tol``. The quadrature reads the rates from the
+datum's point kernel (``point_kernel``): profile_rates at a float point,
+compiled once per datum with U into one function.
 
 Every series at s = 0 is cut from the datum's U and V series:
 ``series_at_zero`` builds those of x, z and theta(., 0) once per datum
@@ -36,9 +38,9 @@ from typing import TYPE_CHECKING
 from . import quadrature
 from ._fmt import fill17, fmt17
 from ._version import __version__
-from .expr import check_angle
+from .expr import FLOAT, FORMS, Call, Emitter, Name, SmoothFn, check_angle, define
 from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
-from .profile import EdgeData, sqrt_at, star_radicand, x_squared
+from .profile import V_SWITCH_RADIUS, EdgeData, root_at, sqrt_at, star_radicand, x_squared
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,9 +100,46 @@ def profile_rates(data: EdgeData, wk, u, v, sqrt):
             -data.eps2 * h * (wk * rho / (u * xsq)) / m)
 
 
-def _rates(data: EdgeData, w):
-    """profile_rates at the float point w."""
-    return profile_rates(data, w**data.k, data.u_value(w), data.v_value(w), sqrt_at(w))
+# The leaves profile_rates is run on to build a point kernel: the point w,
+# w^k, U(w), U'(w) and V(w), each a name the kernel binds.
+_W, _WK, _U, _UP, _V = (SmoothFn(Name(name)) for name in ("w", "wk", "u", "up", "v"))
+
+# How a point kernel spells the Bour quantities' own operations: a plain /, as
+# profile_rates divides floats, and sqrt_at's guard at w, which is called only
+# where it refuses. U's tree keeps FLOAT's.
+_RATE_FORMS = {**FORMS, "/": "{} / {}", "sqrt": "(_msqrt({0}) if {0} > 0.0 else _root({0}, w))"}
+
+
+def _tree_sqrt(f):
+    return SmoothFn(Call("sqrt", f.root))
+
+
+def point_kernel(data: EdgeData):
+    """profile_rates at a float point w, as one generated function of w.
+
+    It returns (x, x', z', theta_s) bit for bit as profile_rates does from w^k,
+    U(w), V(w) and ``sqrt_at(w)``, and refuses where they refuse, with the same
+    error. The code is ``expr.Emitter``'s: U's tree on ``FLOAT``, then
+    profile_rates run on trees, in one pass that computes each shared subtree
+    once. V has two branches after one test of abs(w) < V_SWITCH_RADIUS, as
+    ``EdgeData.v_value``: inside, V's series at 0, and U' is never evaluated;
+    outside, U'(w) / w^k, where U' shares U's subtrees. w^k is computed first
+    and U's tree reads float(w), as U(w) does.
+    """
+    rates = [f.root for f in profile_rates(data, _WK, _U, _V, _tree_sqrt)]
+    code = Emitter(FLOAT)
+    code.env.update(_msqrt=math.sqrt, _root=root_at)
+    code.bound.update(w="w", wk="wk", u=code.emit(data.U.root))
+    near, far = code.fork(), code.fork()
+    near.bound["v"] = near.emit(data.v_jet(_W).root, _RATE_FORMS)
+    far.bound["up"] = far.emit(data.U.prime.root)
+    far.bound["v"] = far.emit((_UP / _WK).root, _RATE_FORMS)
+    near_result, far_result = (", ".join(branch.emit(root, _RATE_FORMS) for root in rates)
+                               for branch in (near, far))
+    body = [*code.lines, f"if abs(w) < {code.literal(V_SWITCH_RADIUS)}:",
+            *(f"    {line}" for line in near.lines), f"    return ({near_result})",
+            *far.lines, f"return ({far_result})"]
+    return define(code.env, "w", [f"wk = w ** {code.literal(data.k)}", "x = float(w)"], body)
 
 
 def x_of_s(data: EdgeData, s):
@@ -128,7 +167,8 @@ def _integral(data: EdgeData, i, s, tol):
         return 0.0
     if abs(s) < NEAR_ZERO_RADIUS:
         return data.series[i - 1](s)
-    return quadrature.integrate(lambda w: _rates(data, w)[i], 0.0, s, tol)[0]
+    rates = data.point_kernel
+    return quadrature.integrate(lambda w: rates(w)[i], 0.0, s, tol)[0]
 
 
 def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):
@@ -148,7 +188,8 @@ def _row(data: EdgeData, s, tol):
     x = x_of_s(data, s)
     if data.h == 0.0 or abs(s) < NEAR_ZERO_RADIUS:
         return x, z_of_s(data, s, tol), _integral(data, 3, s, tol)
-    (z, theta0), _ = quadrature.integrate(lambda w: _rates(data, w)[2:], 0.0, s, tol)
+    rates = data.point_kernel
+    (z, theta0), _ = quadrature.integrate(lambda w: rates(w)[2:], 0.0, s, tol)
     return x, z, theta0
 
 

@@ -210,6 +210,8 @@ class CanonicalParameter:
     ``speed_table`` holds the speed at each node, and ``integral_tables``
     the integral from u0 to each node of every extra rate that was
     integrated along with the speed (see ``canonical_from_speed``).
+    ``node_values`` holds, at each node, the values read there along with
+    the speed, or None at a node inside the jet band.
     """
 
     u0: float
@@ -223,6 +225,7 @@ class CanonicalParameter:
     u_jet: Jet  # jet of the inverse u(s) at 0
     speed_table: np.ndarray
     integral_tables: tuple
+    node_values: tuple
 
     def __call__(self, u):
         return float(self.s_of_u(u))
@@ -234,7 +237,8 @@ class CanonicalParameter:
 _JET_BAND = 1e-3
 
 
-def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1e-12):
+def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1e-12, *,
+                         at_node=None):
     """Canonical parameter from the speed function |gamma'|.
 
     ``rates(u)`` returns the tuple (speed, *extra): the speed, then any rates
@@ -249,6 +253,9 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1
     quadrature, to ``quad_tol``, loses digits there); outside it, one
     cumulative quadrature per side integrates all the rates together, from
     the band edge outward, and the two branches are stitched at the edge.
+    Each node outside the band reads its speed from one call of
+    ``at_node(u)``, which returns (speed, *values); the values are kept in
+    ``node_values``. By default it is ``rates``.
     """
     import numpy as np
 
@@ -276,7 +283,8 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1
     extra_integral_jets = [j.antiderivative() for j in extra_jets]
 
     band = min(_JET_BAND, 0.25 * (hi - u0), 0.25 * (u0 - lo))
-    entries = []  # (u, |A(u)|, from_jet, speed, extra integrals from u0)
+    at_node = rates if at_node is None else at_node
+    entries = []  # (u, |A(u)|, from_jet, speed, extra integrals from u0, node values)
     for side, end in ((-1.0, lo), (1.0, hi)):
         edge = u0 + side * band
         nodes = [float(u) for u in np.linspace(u0, end, max(2, n_samples // 2))
@@ -285,22 +293,23 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1
         a_edge = abs(a_jet(edge))
         extra_edge = [j(edge) for j in extra_integral_jets]
         for u, a in zip(nodes, cumulative):
-            speed = rates(u)[0]
+            speed, *values = at_node(u)
             entries.append((u, a_edge + abs(a[0]), False, speed,
-                            [e + v for e, v in zip(extra_edge, a[1:])]))
+                            [e + v for e, v in zip(extra_edge, a[1:])], tuple(values)))
     for u in np.linspace(u0 - band, u0 + band, 65):
         u = float(u)
         entries.append((u, abs(a_jet(u)), True, abs(signed_speed_jet(u)),
-                        [j(u) for j in extra_integral_jets]))
+                        [j(u) for j in extra_integral_jets], None))
     entries.sort(key=lambda e: e[0])
 
-    us, ss, ds, speeds, integrals = [], [], [], [], []
-    for u, a_abs, from_jet, speed, extra in entries:
+    us, ss, ds, speeds, integrals, node_values = [], [], [], [], [], []
+    for u, a_abs, from_jet, speed, extra, values in entries:
         if us and u - us[-1] < 1e-13 * (hi - lo):
             continue
         us.append(u)
         speeds.append(speed)
         integrals.append(extra)
+        node_values.append(values)
         if from_jet:
             ss.append(s_jet(u))
             ds.append(ds_jet(u))
@@ -316,6 +325,7 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1
         u0=u0, k=k, u_table=u_table, s_table=s_table, s_of_u=s_of_u,
         u_of_s=u_of_s, dsdu_of_u=dsdu_of_u, s_jet=s_jet, u_jet=u_jet,
         speed_table=np.array(speeds), integral_tables=tuple(np.array(c) for c in zip(*integrals)),
+        node_values=tuple(node_values),
     )
 
 

@@ -16,14 +16,15 @@ The single variable defaults to ``s``. Exponents must be integer literals.
 calls and unary minus nested deeper than that, with ``ExprSyntaxError``;
 ``SmoothFn`` arithmetic refuses a taller result with ``ValueError``.
 
-``compile_tree`` turns a tree into a straight-line Python function on a
-backend: ``FLOAT`` here or ``jets.JET`` (Taylor mode). A backend lifts
-literals and supplies div, pow, sin, cos, exp and sqrt; the guards on a value
-(``check_divisor``, ``check_sqrt``, ``check_angle``, overflow) are written
-once here, so floats and jets accept and refuse the same points. A
-``SmoothFn`` compiles its tree once per backend, on first use:
-``SmoothFn.__call__`` runs the float function and ``jets.jet_eval`` the jet
-one.
+``compile_tree`` turns a tree, or a tuple of trees that share subtrees, into
+a straight-line Python function on a backend: ``FLOAT`` here or
+``jets.JET`` (Taylor mode). A backend lifts literals and supplies div, pow,
+sin, cos, exp and sqrt; the guards on a value (``check_divisor``,
+``check_sqrt``, ``check_angle``, overflow) are written once here, so floats
+and jets accept and refuse the same points. A ``SmoothFn`` compiles its tree
+once per backend, on first use: ``SmoothFn.__call__`` runs the float
+function and ``jets.jet_eval`` the jet one. ``Emitter`` and ``define`` are
+the generator itself, which ``bour.point_kernel`` also drives.
 
 First derivatives do not need jets. ``differentiate`` builds the derivative
 tree of a tree once, with the usual rules, and ``SmoothFn.prime`` caches it
@@ -34,6 +35,7 @@ order-1 jet of ``f`` at ``x`` does. Jets serve order >= 2 and Taylor series.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from collections import namedtuple
@@ -71,6 +73,13 @@ class BinOp:
 class IntPow:
     base: object
     exponent: int
+
+
+@dataclass(frozen=True)
+class Name:
+    """A value that generated code binds itself, under ``id`` (see ``Emitter``)."""
+
+    id: str
 
 
 @dataclass(frozen=True)
@@ -264,8 +273,11 @@ def check_angle(value):
 Backend = namedtuple("Backend", "const div pow sin cos exp sqrt")
 
 
+# The float guards call the check_ functions only where those refuse (or
+# where NaN makes the test inconclusive), so a point they accept costs one call.
 def _float_div(a, b):
-    check_divisor(b)
+    if not abs(b) >= DIV_FLOOR:
+        check_divisor(b)
     return a / b
 
 
@@ -276,87 +288,136 @@ def _float_pow(base, n):
 
 
 def _float_sqrt(v):
-    check_sqrt(v)
+    if not v >= 0.0:
+        check_sqrt(v)
     return math.sqrt(v)
 
 
-FLOAT = Backend(
-    const=None, div=_float_div, pow=_float_pow,
-    sin=lambda v: math.sin(check_angle(v)), cos=lambda v: math.cos(check_angle(v)),
-    exp=math.exp, sqrt=_float_sqrt,
-)
+def _float_sin(v):
+    return math.sin(v if math.isfinite(v) else check_angle(v))
 
 
-_BINARY = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})"}
+def _float_cos(v):
+    return math.cos(v if math.isfinite(v) else check_angle(v))
 
 
-def compile_tree(root, ops):
-    """The tree ``root`` as a Python function of x on the backend ``ops``.
+FLOAT = Backend(const=None, div=_float_div, pow=_float_pow, sin=_float_sin, cos=_float_cos,
+                exp=math.exp, sqrt=_float_sqrt)
 
-    The function is straight-line code with one temporary per distinct
-    subtree, computed in the order a left-to-right post-order walk first
-    reaches it, so it returns the walk's result bit for bit and raises the
-    walk's first error. + - * and unary minus are Python operators; / ^ sin
-    cos exp sqrt call the backend's guarded functions. Literals reach the
-    code only as names bound in its namespace, and overflow is a DomainError.
-    A node shared by several parents is emitted once.
+
+# How compiled code spells each operation: / ^ (to a negative power) sin cos
+# exp sqrt call the backend's guarded functions, which ``Emitter`` binds under
+# these names.
+FORMS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})", "neg": "-{}",
+         "^": "_pow({}, {})", "sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})",
+         "sqrt": "_sqrt({})"}
+
+
+class Emitter:
+    """Straight-line code for trees on the backend ``ops``, one line per distinct subtree.
+
+    ``emit`` appends the lines that compute a tree and returns the name that
+    holds its value. Temporaries are computed in the order a left-to-right
+    post-order walk first reaches them, so the code returns the walk's result
+    bit for bit and raises the walk's first error; a node already emitted, or
+    a right-hand side already bound, is not computed again. ``Var`` is ``x``,
+    a ``Name`` is what ``bound`` maps its id to, and literals reach the code
+    only as names bound in ``env``.
     """
-    env = {"_div": ops.div, "_pow": ops.pow, "_sin": ops.sin, "_cos": ops.cos,
-           "_exp": ops.exp, "_sqrt": ops.sqrt, "_const": ops.const, "_DomainError": DomainError}
-    literals = {}
-    temps = {}  # right-hand side -> the temporary that holds it
-    names = {}  # id of an emitted node -> the name that holds its value
-    lines = []
 
-    def literal(value):
+    def __init__(self, ops):
+        self.env = {"_div": ops.div, "_pow": ops.pow, "_sin": ops.sin, "_cos": ops.cos,
+                    "_exp": ops.exp, "_sqrt": ops.sqrt, "_const": ops.const,
+                    "_DomainError": DomainError}
+        self.lifts = ops.const is not None
+        self.literals = {}
+        self.temps = {}  # right-hand side -> the temporary that holds it
+        self.names = {}  # id of an emitted node -> the name that holds its value
+        self.bound = {}
+        self.lines = []
+
+    def fork(self):
+        """A branch that goes on from here with lines of its own; the literals stay shared."""
+        branch = copy.copy(self)
+        branch.temps, branch.names, branch.bound = dict(self.temps), dict(self.names), dict(self.bound)
+        branch.lines = []
+        return branch
+
+    def literal(self, value):
         key = repr(value)  # tells 0.0 from -0.0, which Const equality does not
-        if key not in literals:
-            literals[key] = f"_c{len(literals)}"
-            env[literals[key]] = value
-        return literals[key]
+        if key not in self.literals:
+            self.literals[key] = f"_c{len(self.literals)}"
+            self.env[self.literals[key]] = value
+        return self.literals[key]
 
-    def bind(rhs):
-        if rhs not in temps:
-            temps[rhs] = f"t{len(temps)}"
-            lines.append(f"        {temps[rhs]} = {rhs}")
-        return temps[rhs]
+    def bind(self, rhs):
+        if rhs not in self.temps:
+            self.temps[rhs] = f"t{len(self.temps)}"
+            self.lines.append(f"{self.temps[rhs]} = {rhs}")
+        return self.temps[rhs]
 
-    def emit(node):
+    def emit(self, node, forms=FORMS):
+        """The name of ``node``'s value; its operations are spelled as ``forms`` says."""
         key = id(node)
-        if key in names:
-            return names[key]
+        if key in self.names:
+            return self.names[key]
         kind = type(node)
         if kind is BinOp:
-            a, b = emit(node.left), emit(node.right)
-            name = bind(_BINARY[node.op].format(a, b))
+            a, b = self.emit(node.left, forms), self.emit(node.right, forms)
+            name = self.bind(forms[node.op].format(a, b))
         elif kind is Var:
             name = "x"
+        elif kind is Name:
+            name = self.bound[node.id]
         elif kind is Const:
-            name = literal(node.value)
-            if ops.const is not None:
-                name = bind(f"_const({name}, x)")
+            name = self.literal(node.value)
+            if self.lifts:
+                name = self.bind(f"_const({name}, x)")
         elif kind is IntPow:
-            name = bind(f"_pow({emit(node.base)}, {literal(node.exponent)})")
+            # A power n >= 0 is the value type's own, as the backend's pow computes it.
+            form = forms["^"] if node.exponent < 0 else "{} ** {}"
+            name = self.bind(form.format(self.emit(node.base, forms), self.literal(node.exponent)))
         elif kind is Call and node.fn in _FUNCTIONS:
-            name = bind(f"_{node.fn}({emit(node.arg)})")
+            name = self.bind(forms[node.fn].format(self.emit(node.arg, forms)))
         elif kind is Neg:
-            name = bind(f"-{emit(node.arg)}")
+            name = self.bind(forms["neg"].format(self.emit(node.arg, forms)))
         else:
             raise TypeError(f"unknown node {node!r}")
-        names[key] = name
+        self.names[key] = name
         return name
 
-    result = emit(root)
+
+def define(env, param, head, body):
+    """``compiled(param)`` in the namespace ``env``: the lines ``head``, then ``body``
+    with overflow raised as a DomainError. The source is kept as ``.source``."""
     source = "\n".join([
-        "def compiled(x):",
+        f"def compiled({param}):",
+        *(f"    {line}" for line in head),
         "    try:",
-        *lines,
-        f"        return {result}",
+        *(f"        {line}" for line in body),
         "    except OverflowError as exc:",
         "        raise _DomainError(f'overflow in expression evaluation ({exc})') from exc",
     ])
     exec(compile(source, "<expression>", "exec"), env)
-    return env["compiled"]
+    compiled = env["compiled"]
+    compiled.source = source
+    return compiled
+
+
+def compile_tree(roots, ops):
+    """The tree ``roots`` as a Python function of x on the backend ``ops``.
+
+    A tuple of trees compiles to one function that returns the tuple of their
+    values; they share every common subtree, and the first tree's error is
+    raised first. The code is ``Emitter``'s, so it returns a left-to-right
+    walk's result bit for bit and raises the walk's first error.
+    """
+    code = Emitter(ops)
+    if isinstance(roots, tuple):
+        result = "(" + "".join(f"{code.emit(root)}, " for root in roots) + ")"
+    else:
+        result = code.emit(roots)
+    return define(code.env, "x", (), [*code.lines, f"return {result}"])
 
 
 # Derivative trees. A zero derivative (literal 0) is folded away; a zero

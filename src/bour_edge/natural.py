@@ -20,20 +20,21 @@ canonical parameter is. The sheared speed and phi' are integrated together,
 in one pass of tuple-valued quadrature over those nodes, from one
 ``profile.rates`` call per quadrature point; near u0 both integrals come
 from jets, so phi(u0) = 0 exactly. ``roundtrip``'s metric check reads the
-speed stored at each node.
+speed stored at each node, and the U table outside the jet band the x that
+the same call returned.
 
 ``roundtrip`` drives this pipeline on a profile read back from a Bour datum
 and compares the recovered metric function with the original U.
 
 A profile is any object with the pitch ``h``, the parameter ``interval``
-(lo, hi) and three methods: ``x_value(u)``, for the U table, which needs x
-alone; ``rates(u) -> (x, xdot, zdot)``; and ``jets(u0, order) -> (x jet,
-z jet)``. ``HelicoidalInput`` gives all of these from two expressions.
-``BourProfile`` reads a datum (h and J are the datum's), and
-``ReparamProfile`` re-reads a profile in a chart's s on the chart's s-range;
-these two give jets at 0 only. The speed and the shear rate read each point
-once, with one call, as the genericity check does, so a Bour profile
-evaluates bour.profile_rates once per point.
+(lo, hi) and three methods: ``x_value(u)``, for the U table's nodes inside
+the jet band, which need x alone; ``rates(u) -> (x, xdot, zdot)``; and
+``jets(u0, order) -> (x jet, z jet)``. ``HelicoidalInput`` gives all of
+these from two expressions. ``BourProfile`` reads a datum (h and J are the
+datum's), and ``ReparamProfile`` re-reads a profile in a chart's s on the
+chart's s-range; these two give jets at 0 only. The speed and the shear rate
+read each point once, with one call, as the genericity check does, so a Bour
+profile evaluates its datum's point kernel (bour.profile_rates) once per point.
 """
 
 from __future__ import annotations
@@ -84,20 +85,21 @@ class HelicoidalInput:
 class BourProfile:
     """Profile (x(s), z(s)) read back from a Bour datum, with its h and J.
 
-    x is closed form and z needs a quadrature, but rates come from one
-    bour.profile_rates call per point, and jets at 0 from the datum's series.
+    x is closed form and z needs a quadrature, but rates come from one call of
+    the datum's point kernel per point, and jets at 0 from the datum's series.
     """
 
     def __init__(self, data: EdgeData):
         self.data = data
         self.h = data.h
         self.interval = data.J
+        self.kernel = data.point_kernel
 
     def x_value(self, s):
         return bour.x_of_s(self.data, s)
 
     def rates(self, s):
-        return bour._rates(self.data, s)[:3]
+        return self.kernel(s)[:3]
 
     def jets(self, u0, order):
         if u0 != 0.0:
@@ -287,11 +289,18 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
         x, xd, zd = profile.rates(u)
         return math.sqrt(_sheared_speed_sq(x, xd, zd, h)), _shear_rate(x, zd, h)
 
-    canonical = canonical_from_speed(rates, jets, u0, k, profile.interval, n_tab, quad_tol)
+    def at_node(u):
+        x, xd, zd = profile.rates(u)
+        return math.sqrt(_sheared_speed_sq(x, xd, zd, h)), x
+
+    canonical = canonical_from_speed(rates, jets, u0, k, profile.interval, n_tab, quad_tol,
+                                     at_node=at_node)
     phi_table = canonical.integral_tables[0]
     phi_of_u = Pchip(canonical.u_table, phi_table)
 
-    x_values = np.array([profile.x_value(float(u)) for u in canonical.u_table])
+    # x at a node outside the jet band comes from the call that read its speed.
+    x_values = np.array([profile.x_value(u) if values is None else values[0]
+                         for u, values in zip(canonical.u_table.tolist(), canonical.node_values)])
     U_table = np.sqrt(x_values**2 + h**2)
     U_of_s = Pchip(canonical.s_table, U_table)
 

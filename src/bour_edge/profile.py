@@ -11,7 +11,8 @@ jet of U' near 0 and from the direct quotient U'(s)/s^k away from 0.
 A datum carries U's Taylor series at 0 (``u_jet``), evaluated once by
 ``make_edge_data`` at an order chosen from k, and V's series cut from it.
 Every series at s = 0 is cut from these two; ``EdgeData.series`` holds those
-of x, z and the theta integral, built on first use and freed with the datum.
+of x, z and the theta integral, built on first use and freed with the datum,
+and ``EdgeData.point_kernel`` the rates at a float point, as generated code.
 
 ``make_edge_data`` is the one checker of a datum's fields; ``sibling``, an
 (h, m) family member of a valid datum, re-checks only h, m and the star condition.
@@ -64,6 +65,7 @@ class EdgeData:
     # The least rho^2 of the star scan; None on a replace() copy.
     _rho_min: float = field(compare=False, default=None, repr=False)
     _series: tuple = field(compare=False, default=None, repr=False)
+    _point_kernel: object = field(compare=False, default=None, repr=False)
     # A one-slot holder for star_grid, shared by the datum and its siblings.
     _star_grid: list = field(compare=False, default_factory=lambda: [None], repr=False)
 
@@ -93,6 +95,24 @@ class EdgeData:
         return self._series
 
     @property
+    def point_kernel(self):
+        """bour.profile_rates at a float point w, as one generated function of w
+        (``bour.point_kernel``), built on first use.
+
+        Kept in a field, as the series are. replace() and sibling() drop it,
+        since h, m, U or k may change, and pickling leaves it out.
+        """
+        if self._point_kernel is None:
+            from .bour import point_kernel  # bour imports this module
+
+            object.__setattr__(self, "_point_kernel", point_kernel(self))
+        return self._point_kernel
+
+    def __getstate__(self):
+        # Generated code cannot be pickled; the copy builds its kernel anew.
+        return {**self.__dict__, "_point_kernel": None}
+
+    @property
     def star_grid(self):
         """(grid, U, V) on the default star grid (``grid_values``), evaluated once.
 
@@ -104,16 +124,17 @@ class EdgeData:
         return self._star_grid[0]
 
     def replace(self, **kwargs):
-        """An unchecked copy with fields overridden; the scan's rho_min, the series
-        and the star grid's values are dropped, since U or J may change. A new U
-        (a tree or its text) or k gets U's and V's series at 0 anew."""
+        """An unchecked copy with fields overridden; the scan's rho_min, the series,
+        the point kernel and the star grid's values are dropped, since U or J may
+        change. A new U (a tree or its text) or k gets U's and V's series at 0 anew."""
         if "U" in kwargs or "k" in kwargs:
             U, k = kwargs.get("U", self.U), kwargs.get("k", self.k)
             if isinstance(U, str):
                 U = kwargs["U"] = parse_expr(U)
             u_jet = _u_series(U, k)
             kwargs.update(u_jet=u_jet, v_jet=jet_divide_by_power(u_jet.differentiate(), k, tol=None))
-        return dataclasses.replace(self, _rho_min=None, _series=None, _star_grid=[None], **kwargs)
+        return dataclasses.replace(self, _rho_min=None, _series=None, _point_kernel=None,
+                                   _star_grid=[None], **kwargs)
 
     def to_dict(self):
         doc = {name: getattr(self, name) for name in DATUM_FIELDS}
@@ -141,14 +162,16 @@ def star_radicand(u, v, h, m):
     return x_squared(u, h, m) - m**4 * (u * u) * (v * v)
 
 
+def root_at(r, s):
+    """Float sqrt of the Bour quantity r at s; NegativeRadicand unless r > 0."""
+    if not r > 0.0:
+        raise NegativeRadicand(f"radicand {r!r} is not positive at s = {s!r}", location=s, value=r)
+    return math.sqrt(r)
+
+
 def sqrt_at(s):
-    """Float sqrt of Bour quantities at s; NegativeRadicand unless the radicand is > 0."""
-    def sqrt(r):
-        if not r > 0.0:
-            raise NegativeRadicand(f"radicand {r!r} is not positive at s = {s!r}",
-                                   location=s, value=r)
-        return math.sqrt(r)
-    return sqrt
+    """root_at at s, as the one-argument sqrt that profile_rates takes."""
+    return lambda r: root_at(r, s)
 
 
 def radicand(data: EdgeData, s):
@@ -307,7 +330,7 @@ def sibling(data: EdgeData, h, m):
     grid's values are shared, so only h, m and the star condition (default grid)
     are checked again."""
     h, m = _checked_hm(h, m, data.J)
-    member = dataclasses.replace(data, h=h, m=m, _rho_min=None, _series=None)
+    member = dataclasses.replace(data, h=h, m=m, _rho_min=None, _series=None, _point_kernel=None)
     return _star_checked(member, DEFAULT_STAR_SAMPLES)
 
 

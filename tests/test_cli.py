@@ -315,7 +315,7 @@ def test_quad_tol_reaches_the_canonical_parameter(capsys, datum_file, monkeypatc
     seen = []
     canonical = natural.canonical_from_speed
     monkeypatch.setattr(natural, "canonical_from_speed",
-                        lambda *a: seen.append(a[-1]) or canonical(*a))
+                        lambda *a, **kw: seen.append(a[-1]) or canonical(*a, **kw))
     code, _, _ = run_cli(capsys, "roundtrip", "--datum", datum_file, "--quad-tol", "1e-10")
     assert code == 0
     assert seen == [1e-10]

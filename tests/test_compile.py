@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from test_jets import _expr_strategy
 from tree_walk import walk_eval
 
-from bour_edge.errors import ExprSyntaxError
-from bour_edge.expr import FLOAT, MAX_DEPTH, differentiate, parse_expr
+from bour_edge import bour, natural
+from bour_edge.errors import DomainError, ExprSyntaxError
+from bour_edge.expr import FLOAT, MAX_DEPTH, compile_tree, differentiate, parse_expr
 from bour_edge.jets import JET, jet_eval, variable_jet
 
 
@@ -124,10 +125,37 @@ def test_trees_at_the_bound_need_under_600_frames(text):
 def test_a_used_datum_still_pickles(edge_k1):
     edge_k1.U.prime(0.3)
     jet_eval(edge_k1.U, 0.3, 2)
+    bour.sample_mesh(edge_k1, rows=6, cols=5)
+    natural.roundtrip(edge_k1, n_tab=128)
+    assert edge_k1._point_kernel is not None
     copy = pickle.loads(pickle.dumps(edge_k1))
     assert copy == edge_k1
     assert copy.U(0.3) == edge_k1.U(0.3)
     assert copy.U.prime(0.3) == edge_k1.U.prime(0.3)
+    assert copy._point_kernel is None
+    for w in (-0.7, -5e-4, 0.0, 0.3):
+        assert ([v.hex() for v in copy.point_kernel(w)]
+                == [v.hex() for v in edge_k1.point_kernel(w)])
+    assert copy.point_kernel is not edge_k1.point_kernel
+
+
+def test_several_roots_compile_to_one_function_of_shared_subtrees():
+    f = parse_expr("sin(s)*cos(s) + cos(s)^2")
+    roots = (f.root, f.prime.root, f.prime.prime.root)
+    compiled = compile_tree(roots, FLOAT)
+    assert compiled.source.count("_cos(") == 1 and compiled.source.count("_sin(") == 1
+    for x in (-1.3, 0.0, 0.4, 2.0):
+        assert ([v.hex() for v in compiled(x)]
+                == [walk_eval(root, x, FLOAT).hex() for root in roots])
+    assert compile_tree((f.root,), FLOAT)(0.4) == (f(0.4),)
+
+
+def test_several_roots_raise_the_first_roots_error_first():
+    a, b = parse_expr("1/(s - 1)"), parse_expr("sqrt(s - 2)")
+    with pytest.raises(DomainError, match="division by ~0"):
+        compile_tree((a.root, b.root), FLOAT)(1.0)
+    with pytest.raises(DomainError, match="sqrt of -1.0"):
+        compile_tree((b.root, a.root), FLOAT)(1.0)
 
 
 def test_arithmetic_refuses_a_tree_past_the_bound():

@@ -1,13 +1,20 @@
-"""The recursive tree walk that ``expr.compile_tree`` replaced, kept as the oracle.
+"""The evaluations that generated code replaced, kept as oracles.
 
 ``walk_eval(node, x, ops)`` evaluates a tree node by node, left to right,
 with no shared subtrees, on the backend ``ops`` (``expr.FLOAT`` or
 ``jets.JET``). The compiled functions must agree with it bit for bit.
+
+``walked_rates(data, w)`` is ``bour.profile_rates`` at the float point w as
+it was composed before the point kernel: U(w), V(w) and ``sqrt_at(w)``, each
+evaluated on its own. ``EdgeData.point_kernel`` must agree with it bit for
+bit, and raise the same errors.
 """
 
+from bour_edge.bour import profile_rates
 from bour_edge.errors import DomainError
 from bour_edge.expr import FLOAT, BinOp, Call, Const, IntPow, Neg, Var
 from bour_edge.jets import JET, _check_order, variable_jet
+from bour_edge.profile import sqrt_at
 
 
 def _walk(node, x, ops):
@@ -53,3 +60,8 @@ def walked_jet_eval(f, base, order):
     """``jets.jet_eval`` by the walk."""
     _check_order(order)
     return walk_eval(f.root, variable_jet(float(base), order), JET)
+
+
+def walked_rates(data, w):
+    """(x, x', z', theta_s) at w from U, V and sqrt_at, evaluated one by one."""
+    return profile_rates(data, w**data.k, data.u_value(w), data.v_value(w), sqrt_at(w))
