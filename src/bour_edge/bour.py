@@ -51,8 +51,6 @@ NEAR_ZERO_RADIUS = 1e-4
 # A grid row is marked singular when |s| falls under this threshold.
 SINGULAR_EPS = 1e-13
 
-DEFAULT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SurfacePoint:
@@ -168,15 +166,15 @@ def _integral(data: EdgeData, i, s, tol):
     if abs(s) < NEAR_ZERO_RADIUS:
         return data.series[i - 1](s)
     rates = data.point_kernel
-    return quadrature.integrate(lambda w: rates(w)[i], 0.0, s, tol)[0]
+    return quadrature.integrate(lambda w: rates(w)[i:i + 1], 0.0, s, tol)[0][0]
 
 
-def z_of_s(data: EdgeData, s, tol=DEFAULT_TOL):
+def z_of_s(data: EdgeData, s, tol=quadrature.DEFAULT_TOL):
     """z(s), the integral of z' from 0."""
     return _integral(data, 2, s, tol)
 
 
-def theta(data: EdgeData, s, t, tol=DEFAULT_TOL):
+def theta(data: EdgeData, s, t, tol=quadrature.DEFAULT_TOL):
     """theta(s, t) = eps1 t / m + theta(s, 0)."""
     return data.eps1 * t / data.m + _integral(data, 3, s, tol)
 
@@ -207,7 +205,7 @@ def _assemble(data: EdgeData, t, x, z, theta0, sin_cos):
     return x * cos_th, x * sin_th, z + data.h * th
 
 
-def psi(data: EdgeData, s, t, tol=DEFAULT_TOL):
+def psi(data: EdgeData, s, t, tol=quadrature.DEFAULT_TOL):
     """The surface point Psi(s, t)."""
     return SurfacePoint(position=_assemble(data, t, *_row(data, s, tol), _sin_cos),
                         s=s, t=t, singular=abs(s) < SINGULAR_EPS)
@@ -260,7 +258,8 @@ def _snap_zero_row(values):
     return idx
 
 
-def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60, tol=DEFAULT_TOL):
+def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60,
+                tol=quadrature.DEFAULT_TOL):
     """Sampled surface grid on evenly spaced s and t values.
 
     Each range is (lo, hi) with finite lo < hi, and its ends are the first and
@@ -300,9 +299,12 @@ def write_obj(mesh: Mesh, target):
     """OBJ export: vertices in row-major order, quad faces, datum header."""
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w") as fh:
-            write_obj(mesh, fh)
-        return
-    out: io.TextIOBase = target
+            _write_obj(mesh, fh)
+    else:
+        _write_obj(mesh, target)
+
+
+def _write_obj(mesh: Mesh, out: io.TextIOBase):
     out.write(f"# bour-edge {__version__} datum={mesh.datum.to_json()}\n")
     rows, cols = mesh.rows, mesh.cols
     template = "v %.17g %.17g %.17g\n" * cols
@@ -319,9 +321,12 @@ def write_form_csv(data: EdgeData, s_values, t_values, target):
     """
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w") as fh:
-            write_form_csv(data, s_values, t_values, fh)
-        return
-    out: io.TextIOBase = target
+            _write_form_csv(data, s_values, t_values, fh)
+    else:
+        _write_form_csv(data, s_values, t_values, target)
+
+
+def _write_form_csv(data: EdgeData, s_values, t_values, out: io.TextIOBase):
     out.write("s,t,E,F,G\n")
     ts = [float(t) for t in t_values]
     if not ts:

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from . import bour, cusps  # the option defaults; neither imports numpy until it builds arrays
+from . import bour, cusps, quadrature  # none imports numpy until it builds arrays
 from ._fmt import to_json17
 from .errors import BourEdgeError, ExprSyntaxError
 from .expr import parse_expr
@@ -48,7 +48,7 @@ def make_parser():
     common.add_argument("--out", help="output directory for artifacts")
     common.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
     quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument("--quad-tol", type=float, default=bour.DEFAULT_TOL)
+    quad.add_argument("--quad-tol", type=float, default=quadrature.DEFAULT_TOL)
 
     parser = argparse.ArgumentParser(prog="bour-edge",
                                      description="singular helicoidal surface toolkit")

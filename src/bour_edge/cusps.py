@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import quadrature
 from ._vec import dot, max_abs
 from .errors import NotDiffeo, UnsupportedK, WrongMultiplicity
 from .expr import SmoothFn
@@ -49,7 +50,6 @@ from .jets import (
     require_order,
 )
 from .profile import EdgeData
-from .quadrature import integrate_cumulative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -211,7 +211,7 @@ class CanonicalParameter:
     the integral from u0 to each node of every extra rate that was
     integrated along with the speed (see ``canonical_from_speed``).
     ``node_values`` holds, at each node, the values read there along with
-    the speed, or None at a node inside the jet band.
+    the speed.
     """
 
     u0: float
@@ -237,8 +237,8 @@ class CanonicalParameter:
 _JET_BAND = 1e-3
 
 
-def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1e-12, *,
-                         at_node=None):
+def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512,
+                         quad_tol=quadrature.DEFAULT_TOL, *, at_node=None):
     """Canonical parameter from the speed function |gamma'|.
 
     ``rates(u)`` returns the tuple (speed, *extra): the speed, then any rates
@@ -253,9 +253,9 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1
     quadrature, to ``quad_tol``, loses digits there); outside it, one
     cumulative quadrature per side integrates all the rates together, from
     the band edge outward, and the two branches are stitched at the edge.
-    Each node outside the band reads its speed from one call of
-    ``at_node(u)``, which returns (speed, *values); the values are kept in
-    ``node_values``. By default it is ``rates``.
+    Each node is read by one call of ``at_node(u)``, which returns
+    (speed, *values); the values are kept in ``node_values``, and the speed
+    at every node outside the band. By default ``at_node`` is ``rates``.
     """
     import numpy as np
 
@@ -289,7 +289,7 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1
         edge = u0 + side * band
         nodes = [float(u) for u in np.linspace(u0, end, max(2, n_samples // 2))
                  if side * (u - edge) > 0.0]
-        cumulative = integrate_cumulative(rates, [edge] + nodes, quad_tol)[1:]
+        cumulative = quadrature.integrate_cumulative(rates, [edge] + nodes, quad_tol)[1:]
         a_edge = abs(a_jet(edge))
         extra_edge = [j(edge) for j in extra_integral_jets]
         for u, a in zip(nodes, cumulative):
@@ -298,8 +298,9 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512, quad_tol=1
                             [e + v for e, v in zip(extra_edge, a[1:])], tuple(values)))
     for u in np.linspace(u0 - band, u0 + band, 65):
         u = float(u)
+        _, *values = at_node(u)
         entries.append((u, abs(a_jet(u)), True, abs(signed_speed_jet(u)),
-                        [j(u) for j in extra_integral_jets], None))
+                        [j(u) for j in extra_integral_jets], tuple(values)))
     entries.sort(key=lambda e: e[0])
 
     us, ss, ds, speeds, integrals, node_values = [], [], [], [], [], []

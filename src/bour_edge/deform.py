@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from . import bour, cusps, invariants
+from . import bour, cusps, invariants, quadrature
 from ._fmt import fmt17
 from ._vec import max_abs, solve2
 from .errors import BourEdgeError, DomainError, NoConvergence, StarViolation
@@ -269,7 +269,8 @@ def revolution_path(data: EdgeData, steps) -> list:
     return out
 
 
-def export_family(family: DeformationFamily, out_dir, rows=40, cols=40, tol=bour.DEFAULT_TOL):
+def export_family(family: DeformationFamily, out_dir, rows=40, cols=40,
+                  tol=quadrature.DEFAULT_TOL):
     """One OBJ per valid member plus family.csv with the invariant summary."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "family.csv")

@@ -16,15 +16,16 @@ The single variable defaults to ``s``. Exponents must be integer literals.
 calls and unary minus nested deeper than that, with ``ExprSyntaxError``;
 ``SmoothFn`` arithmetic refuses a taller result with ``ValueError``.
 
-``compile_tree`` turns a tree, or a tuple of trees that share subtrees, into
-a straight-line Python function on a backend: ``FLOAT`` here or
-``jets.JET`` (Taylor mode). A backend lifts literals and supplies div, pow,
-sin, cos, exp and sqrt; the guards on a value (``check_divisor``,
-``check_sqrt``, ``check_angle``, overflow) are written once here, so floats
-and jets accept and refuse the same points. A ``SmoothFn`` compiles its tree
-once per backend, on first use: ``SmoothFn.__call__`` runs the float
-function and ``jets.jet_eval`` the jet one. ``Emitter`` and ``define`` are
-the generator itself, which ``bour.point_kernel`` also drives.
+``compile_tree`` turns a tree into a straight-line Python function on a
+backend: ``FLOAT`` here or ``jets.JET`` (Taylor mode). A backend lifts
+literals and supplies div, pow, sin, cos, exp and sqrt; the guards on a value
+(``check_divisor``, ``check_sqrt``, ``check_angle``, overflow) are written
+once here, so floats and jets accept and refuse the same points. A
+``SmoothFn`` compiles its tree once per backend, on first use:
+``SmoothFn.__call__`` runs the float function and ``jets.jet_eval`` the jet
+one. ``Emitter`` and ``define`` are the generator itself, which
+``bour.point_kernel`` also drives to compile several trees that share
+subtrees into one function.
 
 First derivatives do not need jets. ``differentiate`` builds the derivative
 tree of a tree once, with the usual rules, and ``SmoothFn.prime`` caches it
@@ -404,19 +405,14 @@ def define(env, param, head, body):
     return compiled
 
 
-def compile_tree(roots, ops):
-    """The tree ``roots`` as a Python function of x on the backend ``ops``.
+def compile_tree(root, ops):
+    """The tree ``root`` as a Python function of x on the backend ``ops``.
 
-    A tuple of trees compiles to one function that returns the tuple of their
-    values; they share every common subtree, and the first tree's error is
-    raised first. The code is ``Emitter``'s, so it returns a left-to-right
-    walk's result bit for bit and raises the walk's first error.
+    The code is ``Emitter``'s, so it returns a left-to-right walk's result
+    bit for bit and raises the walk's first error.
     """
     code = Emitter(ops)
-    if isinstance(roots, tuple):
-        result = "(" + "".join(f"{code.emit(root)}, " for root in roots) + ")"
-    else:
-        result = code.emit(roots)
+    result = code.emit(root)
     return define(code.env, "x", (), [*code.lines, f"return {result}"])
 
 

@@ -103,9 +103,9 @@ def kappa_nu_numeric(data: EdgeData, t=0.0):
     return dot(ptt, nu) / dot(pt, pt)
 
 
-def _s_derivative(data, t, j, order=None):
+def _s_derivative(data, t, j):
     """Psi_{s^j}(0, t) as a vector, from the component jets."""
-    jets = psi_jet_at_zero(data, t, j if order is None else order)
+    jets = psi_jet_at_zero(data, t, j)
     return tuple(jet.derivative_value(j) for jet in jets)
 
 

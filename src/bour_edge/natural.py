@@ -19,18 +19,17 @@ and read between them through the in-repo PCHIP (``pchip.Pchip``), as the
 canonical parameter is. The sheared speed and phi' are integrated together,
 in one pass of tuple-valued quadrature over those nodes, from one
 ``profile.rates`` call per quadrature point; near u0 both integrals come
-from jets, so phi(u0) = 0 exactly. ``roundtrip``'s metric check reads the
-speed stored at each node, and the U table outside the jet band the x that
-the same call returned.
+from jets, so phi(u0) = 0 exactly. Each node is read by one more
+``profile.rates`` call: ``roundtrip``'s metric check reads the speed stored
+at each node, and the U table the x that the same call returned.
 
 ``roundtrip`` drives this pipeline on a profile read back from a Bour datum
 and compares the recovered metric function with the original U.
 
 A profile is any object with the pitch ``h``, the parameter ``interval``
-(lo, hi) and three methods: ``x_value(u)``, for the U table's nodes inside
-the jet band, which need x alone; ``rates(u) -> (x, xdot, zdot)``; and
-``jets(u0, order) -> (x jet, z jet)``. ``HelicoidalInput`` gives all of
-these from two expressions. ``BourProfile`` reads a datum (h and J are the
+(lo, hi) and two methods: ``rates(u) -> (x, xdot, zdot)`` and
+``jets(u0, order) -> (x jet, z jet)``. ``HelicoidalInput`` gives these
+from two expressions. ``BourProfile`` reads a datum (h and J are the
 datum's), and ``ReparamProfile`` re-reads a profile in a chart's s on the
 chart's s-range; these two give jets at 0 only. The speed and the shear rate
 read each point once, with one call, as the genericity check does, so a Bour
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bour
+from . import quadrature
 from .cusps import CanonicalParameter, canonical_from_speed
 from .expr import SmoothFn
 from .jets import Jet, jet_compose, jet_eval, jet_sqrt, require_order
@@ -54,7 +53,6 @@ from .profile import EdgeData
 DEFAULT_SAMPLES = 256
 DEFAULT_TABULATION = 512
 DEFAULT_TOL = 1e-8
-QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,9 +69,6 @@ class HelicoidalInput:
         samples = [self.x(float(u)) for u in np.linspace(lo, hi, 64)]
         if any(v == 0.0 for v in samples) or min(samples) < 0.0 < max(samples):
             raise ValueError("profile meets the axis: x vanishes on the interval")
-
-    def x_value(self, u):
-        return self.x(u)
 
     def rates(self, u):
         return self.x(u), self.x.prime(u), self.z.prime(u)
@@ -95,9 +90,6 @@ class BourProfile:
         self.interval = data.J
         self.kernel = data.point_kernel
 
-    def x_value(self, s):
-        return bour.x_of_s(self.data, s)
-
     def rates(self, s):
         return self.kernel(s)[:3]
 
@@ -115,9 +107,6 @@ class ReparamProfile:
         self.canonical = canonical
         self.h = base.h
         self.interval = (float(canonical.s_table[0]), float(canonical.s_table[-1]))
-
-    def x_value(self, sigma):
-        return self.base.x_value(float(self.canonical.u_of_s(sigma)))
 
     def rates(self, sigma):
         u = float(self.canonical.u_of_s(sigma))
@@ -263,7 +252,8 @@ class NaturalChart:
         }
 
 
-def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_TOL):
+def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION,
+                        quad_tol=quadrature.DEFAULT_TOL):
     """The natural chart (s, t) of the profile's surface around the singular point u0.
 
     The canonical parameter integrates the sheared speed and the shear rate
@@ -298,9 +288,8 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_
     phi_table = canonical.integral_tables[0]
     phi_of_u = Pchip(canonical.u_table, phi_table)
 
-    # x at a node outside the jet band comes from the call that read its speed.
-    x_values = np.array([profile.x_value(u) if values is None else values[0]
-                         for u, values in zip(canonical.u_table.tolist(), canonical.node_values)])
+    # x at each node comes from the call that read its speed.
+    x_values = np.array([values[0] for values in canonical.node_values])
     U_table = np.sqrt(x_values**2 + h**2)
     U_of_s = Pchip(canonical.s_table, U_table)
 
@@ -331,7 +320,8 @@ class RoundtripReport:
         }
 
 
-def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_TOL):
+def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION,
+              quad_tol=quadrature.DEFAULT_TOL):
     """Rebuild natural coordinates from the datum's own surface.
 
     The recovered metric function sqrt(x^2 + h^2) must be m * U; the report
@@ -371,7 +361,8 @@ def roundtrip(data: EdgeData, s_probe=None, n_tab=DEFAULT_TABULATION, quad_tol=Q
     return RoundtripReport(sup_error_U=sup_u, sup_error_metric=sup_metric, m_hat=m_hat, chart=chart)
 
 
-def second_pass_chart(data: EdgeData, chart: NaturalChart, n_tab=DEFAULT_TABULATION, quad_tol=QUAD_TOL):
+def second_pass_chart(data: EdgeData, chart: NaturalChart, n_tab=DEFAULT_TABULATION,
+                      quad_tol=quadrature.DEFAULT_TOL):
     """Extract natural coordinates again, from the recovered parametrization.
 
     The chart's s is already canonical, so the second extraction should be a

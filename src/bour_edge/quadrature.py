@@ -1,18 +1,16 @@
-"""Adaptive Gauss-Kronrod 7-15 quadrature, for scalar and tuple-valued integrands.
+"""Adaptive Gauss-Kronrod 7-15 quadrature of tuple-valued integrands.
 
-Panels are split largest-error-first until the summed error estimate drops
-below the requested absolute tolerance. All integrands in this package are
-smooth, so the scheme converges in a handful of panels; the subdivision
-budget (default 2000) exists to fail loudly instead of spinning.
-
-An integrand may return a tuple of floats, as vector-valued adaptive
-cubature allows (Berntsen, Espelid & Genz, DCUHRE, ACM TOMS 17, 1991): all
-components share the 15 evaluations of each panel and one subdivision. Each
-component must reach the tolerance on its own, and the panel split next is
-the one holding the largest component error. A one-component tuple follows
-the scalar path bit for bit, so there is one adaptive loop for both. The
-package reads several integrals of one point's rates this way: the canonical
-speed with the shear phi', and z with theta(s, 0).
+An integrand returns a tuple of floats, as vector-valued adaptive cubature
+allows (Berntsen, Espelid & Genz, DCUHRE, ACM TOMS 17, 1991): all components
+share the 15 evaluations of each panel and one subdivision. Panels are split
+largest-error-first until every component's summed error estimate is below
+the requested absolute tolerance (``DEFAULT_TOL`` unless given). Each
+component's panel sums run in the order of the one-function rule, so a
+one-component tuple gives a scalar Gauss-Kronrod pass's bits. All integrands
+in this package are smooth, so the scheme converges in a handful of panels;
+the budget of ``MAX_SUBDIVISIONS`` panels exists to fail loudly instead of
+spinning. The package reads several integrals of one point's rates this
+way: the canonical speed with the shear phi', and z with theta(s, 0).
 """
 
 from __future__ import annotations
@@ -21,6 +19,9 @@ import heapq
 import math
 
 from .errors import QuadratureFailure
+
+DEFAULT_TOL = 1e-12
+MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # embedded 7-point Gauss rule uses the odd-indexed abscissae.
@@ -53,11 +54,10 @@ _WG = (
 
 
 def _panel(f, a, b):
-    """K15 estimates and error estimates on [a, b], one of each per component.
+    """K15 estimates and error estimates on [a, b], one of each per component of f.
 
-    f returns a float or a tuple of floats; the third item says which. Every
-    component is computed from the same 15 evaluations, each in the order of
-    the scalar rule, so one component gives the scalar rule's bits.
+    Every component is computed from the same 15 evaluations, in the order of
+    the scalar rule, so each one gets that rule's bits.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -66,9 +66,8 @@ def _panel(f, a, b):
         dx = half * x
         ys.append(f(mid - dx))
         ys.append(f(mid + dx))
-    scalar = not isinstance(ys[0], tuple)
     values, errors = [], []
-    for col in ((ys,) if scalar else zip(*ys)):
+    for col in zip(*ys):
         result_g = _WG[3] * col[0]
         result_k = _WGK[7] * col[0]
         for i in range(7):
@@ -81,13 +80,7 @@ def _panel(f, a, b):
         diff = abs(result_k - result_g)
         values.append(result_k)
         errors.append(diff if diff >= 1.25e-7 else (200.0 * diff) ** 1.5)
-    return values, errors, scalar
-
-
-def _kronrod_panel(f, a, b):
-    """(K15 estimate, error estimate) of a scalar f on [a, b]."""
-    (value,), (err,), _ = _panel(f, a, b)
-    return value, err
+    return values, errors
 
 
 def _check_tol(tol):
@@ -95,68 +88,58 @@ def _check_tol(tol):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def integrate(f, a, b, tol=1e-12, max_subdivisions=2000):
-    """Integral of f over [a, b] to absolute tolerance ``tol``.
+def integrate(f, a, b, tol=DEFAULT_TOL):
+    """Integral over [a, b] of the tuple-valued f to absolute tolerance ``tol``.
 
-    Returns (value, error_estimate). f may return a tuple of floats instead
-    of a float; the result is then a tuple of values and a tuple of error
-    estimates, all from one subdivision: each component must reach ``tol``
+    Returns (values, error_estimates), two tuples with one entry per
+    component, all from one subdivision: each component must reach ``tol``
     on its own, and the panel split next is the one holding the largest
-    component error. One component follows the scalar path exactly. The
-    orientation of [a, b] is honored (a > b yields the negated integral).
-    ``tol`` must be positive and finite.
+    component error. The orientation of [a, b] is honored (a > b yields the
+    negated integral). ``tol`` must be positive and finite.
     """
     _check_tol(tol)
     if a == b:
-        y = f(a)  # read only for its shape
-        zero = 0.0 if not isinstance(y, tuple) else (0.0,) * len(y)
+        zero = (0.0,) * len(f(a))  # f is read only for its shape
         return zero, zero
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
-    values, errors, scalar = _panel(f, a, b)
+    values, errors = _panel(f, a, b)
     heap = [(-max(errors), a, b, values, errors)]
     total_val = values
     total_err = errors
     panels = 1
     while any(e > tol for e in total_err):
-        if panels >= max_subdivisions:
+        if panels >= MAX_SUBDIVISIONS:
             raise QuadratureFailure(
                 f"tolerance {tol!r} not reached after {panels} panels (error {max(total_err)!r})"
             )
         _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        lv, le, _ = _panel(f, pa, pm)
-        rv, re, _ = _panel(f, pm, pb)
+        lv, le = _panel(f, pa, pm)
+        rv, re = _panel(f, pm, pb)
         total_val = [t + (l + r - p) for t, l, r, p in zip(total_val, lv, rv, pval)]
         total_err = [t + (l + r - p) for t, l, r, p in zip(total_err, le, re, perr)]
         heapq.heappush(heap, (-max(le), pa, pm, lv, le))
         heapq.heappush(heap, (-max(re), pm, pb, rv, re))
         panels += 1
-    if scalar:
-        return sign * total_val[0], total_err[0]
     return tuple(sign * v for v in total_val), tuple(total_err)
 
 
-def integrate_cumulative(f, nodes, tol=1e-12, max_subdivisions=2000):
-    """Cumulative integrals of f from nodes[0] to each node.
+def integrate_cumulative(f, nodes, tol=DEFAULT_TOL):
+    """Integrals of the tuple-valued f from nodes[0] to each node, as a list of tuples.
 
-    Segment integrals are computed adaptively with a per-segment tolerance
-    share proportional to segment length, then prefix-summed. A
-    tuple-valued f gives a list of tuples, each segment in one ``integrate``
-    pass.
+    Each segment is one ``integrate`` pass, to a share of ``tol``
+    proportional to its length, and the segments are prefix-summed.
     """
     if len(nodes) < 2:
-        return [0.0] * len(nodes)
+        return [(0.0,) * len(f(a)) for a in nodes]  # f is read only for its shape
     total_len = abs(nodes[-1] - nodes[0])
     out = []
-    acc = None
     for a, b in zip(nodes[:-1], nodes[1:]):
         seg_tol = tol * max(abs(b - a) / total_len, 1e-3) if total_len > 0 else tol
-        val, _ = integrate(f, a, b, seg_tol, max_subdivisions)
-        if acc is None:
-            acc = 0.0 if not isinstance(val, tuple) else (0.0,) * len(val)
-            out.append(acc)
-        acc = acc + val if not isinstance(val, tuple) else tuple(s + v for s, v in zip(acc, val))
-        out.append(acc)
+        val, _ = integrate(f, a, b, seg_tol)
+        if not out:
+            out.append((0.0,) * len(val))
+        out.append(tuple(s + v for s, v in zip(out[-1], val)))
     return out

@@ -91,13 +91,15 @@ def test_z_parity_for_even_metric_function(edge_k2):
 
 def test_near_zero_branch_agrees_with_quadrature(edge_k1):
     d = edge_k1
+    z_rate, theta_rate = z_integrand(d), theta_integrand(d)
     for s in (2e-5, -7e-5, 9.9e-5):
         jet_value = bour.z_of_s(d, s)
-        quad_value = d.eps2 * d.m * quadrature.integrate(z_integrand(d), 0.0, s, 1e-14)[0]
+        (z_quad,), _ = quadrature.integrate(lambda w: (z_rate(w),), 0.0, s, 1e-14)
+        quad_value = d.eps2 * d.m * z_quad
         assert jet_value == pytest.approx(quad_value, abs=1e-14)
         # theta(s, 0) = -eps2 h / m times the raw integral; compared unscaled
         jet_theta = bour.theta(d, s, 0.0, 1e-13) * d.m / (-d.eps2 * d.h)
-        quad_theta = quadrature.integrate(theta_integrand(d), 0.0, s, 1e-15)[0]
+        (quad_theta,), _ = quadrature.integrate(lambda w: (theta_rate(w),), 0.0, s, 1e-15)
         assert jet_theta == pytest.approx(quad_theta, abs=1e-14)
 
 

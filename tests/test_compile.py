@@ -10,8 +10,8 @@ from test_jets import _expr_strategy
 from tree_walk import walk_eval
 
 from bour_edge import bour, natural
-from bour_edge.errors import DomainError, ExprSyntaxError
-from bour_edge.expr import FLOAT, MAX_DEPTH, compile_tree, differentiate, parse_expr
+from bour_edge.errors import ExprSyntaxError
+from bour_edge.expr import FLOAT, MAX_DEPTH, differentiate, parse_expr
 from bour_edge.jets import JET, jet_eval, variable_jet
 
 
@@ -139,23 +139,11 @@ def test_a_used_datum_still_pickles(edge_k1):
     assert copy.point_kernel is not edge_k1.point_kernel
 
 
-def test_several_roots_compile_to_one_function_of_shared_subtrees():
-    f = parse_expr("sin(s)*cos(s) + cos(s)^2")
-    roots = (f.root, f.prime.root, f.prime.prime.root)
-    compiled = compile_tree(roots, FLOAT)
-    assert compiled.source.count("_cos(") == 1 and compiled.source.count("_sin(") == 1
-    for x in (-1.3, 0.0, 0.4, 2.0):
-        assert ([v.hex() for v in compiled(x)]
-                == [walk_eval(root, x, FLOAT).hex() for root in roots])
-    assert compile_tree((f.root,), FLOAT)(0.4) == (f(0.4),)
-
-
-def test_several_roots_raise_the_first_roots_error_first():
-    a, b = parse_expr("1/(s - 1)"), parse_expr("sqrt(s - 2)")
-    with pytest.raises(DomainError, match="division by ~0"):
-        compile_tree((a.root, b.root), FLOAT)(1.0)
-    with pytest.raises(DomainError, match="sqrt of -1.0"):
-        compile_tree((b.root, a.root), FLOAT)(1.0)
+def test_the_point_kernel_computes_a_shared_subtree_once(edge_k1):
+    # the README datum: U = 1 - s cos(s) + sin(s) and U' = s sin(s) share cos(s)
+    # and sin(s), which the kernel calls once each
+    source = edge_k1.point_kernel.source
+    assert source.count("_cos(") == 1 and source.count("_sin(") == 1
 
 
 def test_arithmetic_refuses_a_tree_past_the_bound():

@@ -147,3 +147,24 @@ def test_build_keeps_the_requested_s_range(tmp_path, capsys):
     assert '"singular_row": null' in capsys.readouterr().out
     rows = (out / "forms.csv").read_text().splitlines()[1:]
     assert sorted({row.split(",")[0] for row in rows}) == ["-0.5", "0.5"]
+
+
+@pytest.mark.parametrize("name", ["write_obj", "write_form_csv"])
+def test_a_path_target_enters_the_public_writer_once(edge_k1, tmp_path, monkeypatch, name):
+    # A wrapper on the public name (as a per-layer tracer installs) sees one call
+    # per file, and the bytes are those written to a stream.
+    calls = []
+    original = getattr(bour, name)
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(bour, name, counted)
+    mesh = bour.sample_mesh(edge_k1, rows=4, cols=3)
+    args = (mesh,) if name == "write_obj" else (edge_k1, mesh.s_values, mesh.t_values)
+    path, stream = tmp_path / "out", io.StringIO()
+    getattr(bour, name)(*args, path)
+    assert calls == [path]
+    original(*args, stream)
+    assert path.read_text() == stream.getvalue()

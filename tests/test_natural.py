@@ -142,7 +142,7 @@ def test_phi_table_matches_direct_quadrature():
 
     from bour_edge.quadrature import integrate
     for u, phi in zip(chart.phi_nodes[::16], chart.phi_table[::16]):
-        expected, _ = integrate(integrand, 0.0, float(u), 1e-13)
+        (expected,), _ = integrate(lambda w: (integrand(w),), 0.0, float(u), 1e-13)
         assert float(phi) == pytest.approx(expected, abs=1e-9)
     # the interpolant derivative tracks the closed-form shear rate coarsely
     dphi = chart.phi_of_u.derivative()
@@ -321,7 +321,7 @@ def test_phi_is_anchored_at_the_singular_point(request, fixture_name):
     from bour_edge.quadrature import integrate
     near = [i for i, u in enumerate(chart.u_table) if 0.0 < abs(u) <= 1e-3]
     for i in near[::8] + list(range(0, len(chart.u_table), 16)):
-        expected, _ = integrate(integrand, 0.0, float(chart.u_table[i]), 1e-14)
+        (expected,), _ = integrate(lambda w: (integrand(w),), 0.0, float(chart.u_table[i]), 1e-14)
         assert float(chart.phi_table[i]) == pytest.approx(expected, abs=1e-11)
 
 

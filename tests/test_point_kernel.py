@@ -7,13 +7,14 @@ bits and raise the same errors, with the same message, location and value.
 
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from tree_walk import walked_rates
 
-from bour_edge import natural
+from bour_edge import bour, natural
 from bour_edge.profile import V_SWITCH_RADIUS, make_edge_data, sibling
 
 
@@ -89,18 +90,29 @@ def test_a_kernel_is_freed_with_its_datum():
     assert ref() is None
 
 
-def test_the_chart_reads_x_once_outside_the_jet_band(edge_k1):
+def test_the_chart_reads_x_once_outside_the_jet_band(edge_k1, monkeypatch):
+    # Every node, the 65 of the jet band included, keeps the x of the rates call
+    # that read its speed, so the chart never calls bour.x_of_s; that x is the
+    # same float.
     calls = []
+    original = bour.x_of_s
 
-    class Counted(natural.BourProfile):
-        def x_value(self, s):
-            calls.append(s)
-            return super().x_value(s)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    profile = Counted(edge_k1)
-    chart = natural.natural_coordinates(profile, 0.0, 1, n_tab=384)
-    # Only the 65 nodes of the jet band read x_value; every other node keeps the
-    # x of the rates call that read its speed, which is the same float.
-    assert 0 < len(calls) <= 65 and max(abs(s) for s in calls) <= 1e-3
-    x_values = [natural.BourProfile(edge_k1).x_value(u) for u in chart.u_table.tolist()]
-    assert chart.U_table.tolist() == np.sqrt(np.array(x_values) ** 2 + edge_k1.h**2).tolist()
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("bour_edge") and vars(module).get("x_of_s") is original:
+            monkeypatch.setattr(module, "x_of_s", counted)
+    bour.psi(edge_k1, 0.3, 0.0)
+    assert len(calls) == 1  # the count sees calls from inside the package
+    calls.clear()
+    chart = natural.roundtrip(edge_k1, n_tab=384).chart
+    again = natural.second_pass_chart(edge_k1, chart, n_tab=384)
+    assert calls == []
+    h = edge_k1.h
+    x = np.array([original(edge_k1, u) for u in chart.u_table.tolist()])
+    assert chart.U_table.tolist() == np.sqrt(x**2 + h**2).tolist()
+    x = np.array([original(edge_k1, float(chart.canonical.u_of_s(sigma)))
+                  for sigma in again.u_table.tolist()])
+    assert again.U_table.tolist() == np.sqrt(x**2 + h**2).tolist()

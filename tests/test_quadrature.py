@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from bour_edge import quadrature
 from bour_edge.errors import QuadratureFailure
-from bour_edge.quadrature import _kronrod_panel, integrate, integrate_cumulative
+from bour_edge.quadrature import _panel, integrate, integrate_cumulative
 
 
 def simpson(f, a, b, panels=4096):
@@ -15,26 +16,31 @@ def simpson(f, a, b, panels=4096):
     return total * h / 3.0
 
 
+def one(f):
+    """f as a one-component integrand."""
+    return lambda x: (f(x),)
+
+
 def test_kronrod_polynomial_exactness():
     # the 15-point Kronrod rule integrates degree <= 22 exactly
     for deg in (7, 13, 22):
-        value, _ = _kronrod_panel(lambda x, d=deg: x**d, 0.0, 1.0)
+        (value,), _ = _panel(lambda x, d=deg: (x**d,), 0.0, 1.0)
         assert value == pytest.approx(1.0 / (deg + 1), abs=1e-15)
 
 
 def test_known_integrals():
-    value, err = integrate(math.sin, 0.0, math.pi, 1e-13)
+    (value,), (err,) = integrate(one(math.sin), 0.0, math.pi, 1e-13)
     assert value == pytest.approx(2.0, abs=1e-13)
     assert err < 1e-12
-    value, _ = integrate(lambda x: math.exp(-x * x), 0.0, 3.0, 1e-13)
+    (value,), _ = integrate(lambda x: (math.exp(-x * x),), 0.0, 3.0, 1e-13)
     assert value == pytest.approx(math.erf(3.0) * math.sqrt(math.pi) / 2.0, abs=1e-13)
 
 
 def test_orientation():
-    forward, _ = integrate(math.cos, 0.0, 0.5, 1e-13)
-    backward, _ = integrate(math.cos, 0.5, 0.0, 1e-13)
+    (forward,), _ = integrate(one(math.cos), 0.0, 0.5, 1e-13)
+    (backward,), _ = integrate(one(math.cos), 0.5, 0.0, 1e-13)
     assert backward == -forward
-    assert integrate(math.cos, 0.3, 0.3)[0] == 0.0
+    assert integrate(one(math.cos), 0.3, 0.3)[0] == (0.0,)
 
 
 @pytest.mark.parametrize("f,a,b", [
@@ -43,27 +49,28 @@ def test_orientation():
     (lambda x: math.sqrt(1.0 + x * x) * math.cos(x), 0.0, 1.5),
 ])
 def test_against_simpson_oracle(f, a, b):
-    adaptive, _ = integrate(f, a, b, 1e-12)
+    (adaptive,), _ = integrate(one(f), a, b, 1e-12)
     assert adaptive == pytest.approx(simpson(f, a, b), abs=1e-10)
 
 
-def test_budget_failure():
+def test_budget_failure(monkeypatch):
     # integrable endpoint singularity with a tiny budget cannot reach 1e-15
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
     with pytest.raises(QuadratureFailure):
-        integrate(lambda x: math.sqrt(abs(x)), 0.0, 1.0, 1e-15, max_subdivisions=3)
+        integrate(lambda x: (math.sqrt(abs(x)),), 0.0, 1.0, 1e-15)
 
 
 def test_cumulative_matches_prefix_integrals():
     nodes = [0.0, 0.2, 0.5, 0.9, 1.4]
-    cumulative = integrate_cumulative(math.cos, nodes, 1e-13)
-    for node, value in zip(nodes, cumulative):
+    cumulative = integrate_cumulative(one(math.cos), nodes, 1e-13)
+    for node, (value,) in zip(nodes, cumulative):
         assert value == pytest.approx(math.sin(node), abs=1e-12)
 
 
 def test_cumulative_descending_nodes():
     nodes = [0.0, -0.3, -0.8]
-    cumulative = integrate_cumulative(math.cos, nodes, 1e-13)
-    for node, value in zip(nodes, cumulative):
+    cumulative = integrate_cumulative(one(math.cos), nodes, 1e-13)
+    for node, (value,) in zip(nodes, cumulative):
         assert value == pytest.approx(math.sin(node), abs=1e-12)
 
 
@@ -71,9 +78,9 @@ def test_cumulative_descending_nodes():
 def test_tolerances_that_are_not_positive_and_finite_are_refused(tol):
     # a NaN tolerance used to end the loop after one panel
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        integrate(math.cos, 0.0, 1.0, tol)
+        integrate(one(math.cos), 0.0, 1.0, tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        integrate_cumulative(math.cos, [0.0, 0.5, 1.0], tol)
+        integrate_cumulative(one(math.cos), [0.0, 0.5, 1.0], tol)
 
 
 _SCALAR_CASES = [
@@ -82,15 +89,31 @@ _SCALAR_CASES = [
     (lambda x: math.sqrt(abs(x) + 1e-3), 0.7, -0.9, 1e-11),
     (lambda x: x**7 - 3.0 * x, -2.0, 1.5, 1e-15),
 ]
+# (value, error estimate, cumulative integrals at the nodes a, 0.3 a + 0.7 b and b)
+# of each case by float.hex, keyed by (a, b, tol), as computed by the
+# scalar-integrand pass this module had before every integrand became a tuple.
+_SCALAR_BITS = {
+    (0.0, math.pi, 1e-13):
+        ("0x1.0000000000000p+1", "0x1.e853bfdbcfa74p-48",
+         ("0x0.0p+0", "0x1.96791823aad2ep+0", "0x1.0000000000000p+1")),
+    (-1.0, 1.0, 1e-13):
+        ("0x1.1945c10eaa046p-1", "0x1.1a981e1ad0000p-46",
+         ("0x0.0p+0", "0x1.fc043b9a7387dp-2", "0x1.1945c10eaa046p-1")),
+    (0.7, -0.9, 1e-11):
+        ("-0x1.ec3bf96144844p-1", "0x1.b6fd7f02bf700p-40",
+         ("0x0.0p+0", "-0x1.258d853949d94p-1", "-0x1.ec3bf9614484ap-1")),
+    (-2.0, 1.5, 1e-15):
+        ("-0x1.a2bdfffffffffp+4", "0x1.618dab0184066p-61",
+         ("0x0.0p+0", "-0x1.a4db4c8f8fd55p+4", "-0x1.a2bdffffffffdp+4")),
+}
 
 
 @pytest.mark.parametrize("f,a,b,tol", _SCALAR_CASES)
 def test_one_component_pass_is_the_scalar_pass_bit_for_bit(f, a, b, tol):
-    value, err = integrate(f, a, b, tol)
-    assert integrate(lambda x: (f(x),), a, b, tol) == ((value,), (err,))
+    (value,), (err,) = integrate(one(f), a, b, tol)
     nodes = [a, 0.3 * a + 0.7 * b, b]
-    assert [v for (v,) in integrate_cumulative(lambda x: (f(x),), nodes, tol)] == \
-        integrate_cumulative(f, nodes, tol)
+    cumulative = tuple(v.hex() for (v,) in integrate_cumulative(one(f), nodes, tol))
+    assert (value.hex(), err.hex(), cumulative) == _SCALAR_BITS[a, b, tol]
 
 
 def _counted(f):
@@ -106,7 +129,7 @@ def test_each_component_meets_tol_under_one_subdivision():
     easy, hard = math.cos, lambda x: 1.0 / (1.0 + 400.0 * x * x)
     exact = (2.0 * math.sin(1.0), math.atan(20.0) / 10.0)
     tol = 1e-12
-    counts = [_counted(easy), _counted(hard)]
+    counts = [_counted(one(easy)), _counted(one(hard))]
     for f in counts:
         integrate(f, -1.0, 1.0, tol)
     assert counts[0].calls == 15 < counts[1].calls
@@ -116,7 +139,7 @@ def test_each_component_meets_tol_under_one_subdivision():
     for value, err, want, f in zip(values, errors, exact, (easy, hard)):
         assert err <= tol
         assert abs(value - want) <= tol
-        assert abs(value - integrate(f, -1.0, 1.0, 1e-15)[0]) <= tol
+        assert abs(value - integrate(one(f), -1.0, 1.0, 1e-15)[0][0]) <= tol
     # in either order
     swapped, _ = integrate(lambda x: (hard(x), easy(x)), -1.0, 1.0, tol)
     assert swapped == values[::-1]
@@ -132,8 +155,10 @@ def test_vector_orientation_and_empty_interval():
 
 def test_vector_cumulative_matches_prefix_integrals():
     nodes = [0.0, -0.3, -0.8]
-    cumulative = integrate_cumulative(lambda x: (math.cos(x), math.sin(x)), nodes, 1e-13)
+    f = lambda x: (math.cos(x), math.sin(x))  # noqa: E731
+    cumulative = integrate_cumulative(f, nodes, 1e-13)
     assert cumulative[0] == (0.0, 0.0)
+    assert integrate_cumulative(f, nodes[:1]) == [(0.0, 0.0)]  # a single node keeps the shape
     for node, (c, s) in zip(nodes, cumulative):
         assert c == pytest.approx(math.sin(node), abs=1e-12)
         assert s == pytest.approx(1.0 - math.cos(node), abs=1e-12)
@@ -148,7 +173,8 @@ def test_vector_integrands_refuse_the_same_tolerances(tol):
         integrate_cumulative(f, [0.0, 0.5, 1.0], tol)
 
 
-def test_vector_budget_failure():
+def test_vector_budget_failure(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
     f = lambda x: (math.cos(x), math.sqrt(abs(x)))  # noqa: E731
     with pytest.raises(QuadratureFailure, match="not reached after 3 panels"):
-        integrate(f, 0.0, 1.0, 1e-15, max_subdivisions=3)
+        integrate(f, 0.0, 1.0, 1e-15)

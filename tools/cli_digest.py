@@ -51,6 +51,7 @@ COMMANDS = (
     ["classify"],
     ["roundtrip"],
     ["roundtrip", "--s-probe", "-0.5", "0.5", "41"],
+    ["roundtrip", "--out", "out"],
     ["build", "--out", "out", "--rows", "12", "--cols", "9"],
     ["isomers", "--out", "out", "--rows", "6", "--cols", "5"],
     ["deform", "--nh", "3", "--nm", "3"],
