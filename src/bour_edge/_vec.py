@@ -2,13 +2,15 @@
 
 A dot product is a chain of fused multiply-adds (one rounding per term after
 the first product), which is what an FMA BLAS ``ddot`` computes, and the
-2x2 solve keeps LAPACK ``dgesv``'s order of operations. Values computed
-through numpy on such hardware therefore keep their bytes here.
+2x2 solve keeps LAPACK ``dgesv``'s order of operations, and ``linspace``
+numpy's. Values computed through numpy on such hardware therefore keep their
+bytes here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 
 def fma(a, b, c):
@@ -60,3 +62,27 @@ def solve2(a, b):
         raise ValueError("singular matrix")
     x1 = fma(-l10, b0, b1) / u11
     return fma(-a01, x1, b0) / a00, x1
+
+
+def linspace(lo, hi, n):
+    """n evenly spaced floats from lo to hi as a list, bit for bit numpy 2's ``np.linspace``.
+
+    Value i is i * step + lo with step = (hi - lo) / (n - 1), or
+    (i / (n - 1)) * (hi - lo) + lo where step underflows to 0; the last is hi.
+    A non-integer n is a TypeError and a negative one a ValueError, as in numpy.
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    if n < 2:
+        return [0.0 * delta + lo] * n
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        values = [(i / div) * delta + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values

@@ -29,7 +29,9 @@ Every series at s = 0 is cut from the datum's U and V series:
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -37,6 +39,7 @@ from typing import TYPE_CHECKING
 
 from . import quadrature
 from ._fmt import fill17, fmt17
+from ._vec import linspace
 from ._version import __version__
 from .expr import FLOAT, FORMS, Call, Emitter, Name, SmoothFn, check_angle, define
 from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
@@ -67,21 +70,49 @@ class FundamentalForm:
     G: float
 
 
-@dataclass
 class Mesh:
-    s_values: np.ndarray
-    t_values: np.ndarray
-    positions: np.ndarray  # (rows, cols, 3)
-    singular_row: int | None
-    datum: EdgeData
+    """A sampled surface: the grid values of s and t, and the point at each (s, t).
+
+    ``s_grid`` and ``t_grid`` are lists of floats and ``point_rows[r]`` lists the
+    (x, y, z) of row r, one per t; the file writers read only these. The numpy
+    arrays ``s_values``, ``t_values`` and ``positions`` (rows, cols, 3) hold the
+    same values; each is made on first read and cached, so a caller that only
+    writes files never imports numpy. The constructor takes either lists or arrays.
+    """
+
+    def __init__(self, s_values, t_values, positions, singular_row: int | None,
+                 datum: EdgeData):
+        self.s_grid = [float(s) for s in s_values]
+        self.t_grid = [float(t) for t in t_values]
+        self.point_rows = positions.tolist() if hasattr(positions, "tolist") else positions
+        self.singular_row = singular_row
+        self.datum = datum
 
     @property
     def rows(self):
-        return len(self.s_values)
+        return len(self.s_grid)
 
     @property
     def cols(self):
-        return len(self.t_values)
+        return len(self.t_grid)
+
+    @functools.cached_property
+    def s_values(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.s_grid)
+
+    @functools.cached_property
+    def t_values(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.t_grid)
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.point_rows, dtype=float).reshape(self.rows, self.cols, 3)
 
 
 def profile_rates(data: EdgeData, wk, u, v, sqrt):
@@ -258,6 +289,12 @@ def _snap_zero_row(values):
     return idx
 
 
+def check_grid_shape(rows, cols):
+    """Refuse a grid with fewer than 2 rows or 2 columns (ValueError)."""
+    if rows < 2 or cols < 2:
+        raise ValueError("rows and cols must be at least 2")
+
+
 def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60,
                 tol=quadrature.DEFAULT_TOL):
     """Sampled surface grid on evenly spaced s and t values.
@@ -268,10 +305,7 @@ def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60,
     unless that value is an end other than 0: the ends stay as requested, and
     ``singular_row`` is None.
     """
-    import numpy as np
-
-    if rows < 2 or cols < 2:
-        raise ValueError("rows and cols must be at least 2")
+    check_grid_shape(rows, cols)
     s_range = data.J if s_range is None else s_range
     t_range = (0.0, 2.0 * math.pi * data.m) if t_range is None else t_range
     for name, (lo, hi) in (("s_range", s_range), ("t_range", t_range)):
@@ -280,17 +314,15 @@ def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60,
     lo, hi = s_range
     if lo < data.J[0] - 1e-12 or hi > data.J[1] + 1e-12:
         raise ValueError(f"s_range {s_range!r} exceeds the datum domain {data.J!r}")
-    s_values = np.linspace(lo, hi, rows)
+    s_values = linspace(lo, hi, rows)
     singular_row = None
     if lo <= 0.0 <= hi:
         singular_row = _snap_zero_row(s_values)
-    t_values = np.linspace(t_range[0], t_range[1], cols)
-
-    positions = np.empty((rows, cols, 3))
-    ts = t_values.tolist()
-    for r, s in enumerate(s_values.tolist()):
+    t_values = linspace(t_range[0], t_range[1], cols)
+    positions = []
+    for s in s_values:
         row = _row(data, s, tol)
-        positions[r] = [_assemble(data, t, *row, _sin_cos) for t in ts]
+        positions.append([_assemble(data, t, *row, _sin_cos) for t in t_values])
     return Mesh(s_values=s_values, t_values=t_values, positions=positions,
                 singular_row=singular_row, datum=data)
 
@@ -308,8 +340,8 @@ def _write_obj(mesh: Mesh, out: io.TextIOBase):
     out.write(f"# bour-edge {__version__} datum={mesh.datum.to_json()}\n")
     rows, cols = mesh.rows, mesh.cols
     template = "v %.17g %.17g %.17g\n" * cols
-    for r in range(rows):
-        out.write(fill17(template, mesh.positions[r].ravel().tolist()))
+    for row in mesh.point_rows:
+        out.write(fill17(template, itertools.chain.from_iterable(row)))
     out.writelines(f"f {a} {a + 1} {a + cols + 1} {a + cols}\n"
                    for r in range(rows - 1) for a in range(r * cols + 1, (r + 1) * cols))
 

@@ -180,7 +180,7 @@ def cmd_build(args):
     os.makedirs(args.out, exist_ok=True)
     obj_path = os.path.join(args.out, "mesh.obj")
     bour.write_obj(mesh, obj_path)
-    bour.write_form_csv(data, mesh.s_values, mesh.t_values[:: max(1, len(mesh.t_values) // 8)],
+    bour.write_form_csv(data, mesh.s_grid, mesh.t_grid[:: max(1, mesh.cols // 8)],
                         os.path.join(args.out, "forms.csv"))
     _emit({"mesh": obj_path, "rows": mesh.rows, "cols": mesh.cols,
            "singular_row": mesh.singular_row}, args)

@@ -6,6 +6,12 @@ diffeomorphically over the admissible region, with Jacobian determinant
 1 / (m^3 rho(0) U(0)^2). Inverting psi is a damped 2x2 Newton iteration whose
 Jacobian comes from evaluating psi on jets; steps are halved until the
 radicand at s = 0 stays positive, and the solution is re-validated on all of J.
+
+Two data are compared at METRIC_SAMPLE_COUNT seeded points (s, t), drawn as
+numpy's ``default_rng(METRIC_SEED).uniform`` draws them. The generator's 100
+values in [0, 1) are stored in ``_METRIC_DRAWS``, so no command needs numpy to
+draw them; a new METRIC_SEED or count means regenerating that tuple, which
+``tests/test_deform.py`` checks against numpy.
 """
 
 from __future__ import annotations
@@ -16,13 +22,42 @@ from dataclasses import dataclass
 
 from . import bour, cusps, invariants, quadrature
 from ._fmt import fmt17
-from ._vec import max_abs, solve2
+from ._vec import linspace, max_abs, solve2
 from .errors import BourEdgeError, DomainError, NoConvergence, StarViolation
 from .jets import jet_sqrt, variable_jet
 from .profile import EdgeData, rho, sibling, sqrt_at
 
 METRIC_SAMPLE_COUNT = 50
 METRIC_SEED = 20260809
+
+# np.random.default_rng(METRIC_SEED).random(2 * METRIC_SAMPLE_COUNT): the draws for s, then t.
+_METRIC_DRAWS = (
+    0.6920719597572101, 0.4111793386211946, 0.19935033008505954, 0.49402353893144624,
+    0.9319805617761172, 0.4966232802949134, 0.8982722671919591, 0.8596268918508094,
+    0.05875893139415156, 0.9098456434590587, 0.6835046868869014, 0.986712274003414,
+    0.9099985974642125, 0.745889052652003, 0.32748817059436397, 0.4984987611659334,
+    0.8517576056148783, 0.5437051897516535, 0.5803410042316813, 0.5368866177796795,
+    0.9402551231647767, 0.1636346179013316, 0.24418993174430004, 0.8861757577143073,
+    0.5251903059054874, 0.32546890350422075, 0.8432698941550183, 0.7503309754690262,
+    0.36764071593575454, 0.7699270627590791, 0.10883783590956186, 0.11081434475387864,
+    0.7696563829686708, 0.4965710117308676, 0.36178602056190234, 0.4054362271354398,
+    0.6470879484102822, 0.09468900339960462, 0.8972146219496073, 0.31824446670327045,
+    0.5391105960139108, 0.9523781401874132, 0.24721431754800338, 0.4419185219580285,
+    0.8045061822307742, 0.9653635699093888, 0.3680641010272442, 0.8391195714225131,
+    0.14329938125388686, 0.9899933385695012, 0.6205669319954675, 0.08233934662598252,
+    0.9091607935744116, 0.6449598098433478, 0.18505987686551206, 0.4897059953429723,
+    0.02626716666564599, 0.40446810581584147, 0.19767430009746, 0.35481296757220715,
+    0.3016040420940619, 0.941283720085587, 0.33514791888858797, 0.6784088148146384,
+    0.6480059530807403, 0.6250795384273018, 0.18916360773952712, 0.8976199162477153,
+    0.47837782555752884, 0.9380119734776861, 0.5349061349875972, 0.5038566620183594,
+    0.23070449431885587, 0.4064957238689143, 0.04769036472037236, 0.8859555281539427,
+    0.5454454792465276, 0.5992730559286705, 0.31759775895872966, 0.43887213374293066,
+    0.32900324811563186, 0.35324195285976445, 0.03415602251582528, 0.18992419673495786,
+    0.9003178228284446, 0.34071478840901004, 0.15779431341865569, 0.9611821290026755,
+    0.3106183272477392, 0.24307669875446447, 0.7387611644547535, 0.7500281060647742,
+    0.21995591496619848, 0.33912085020904603, 0.094397222745365, 0.3170502036698426,
+    0.7660647642186207, 0.2341997963281952, 0.28100744747926, 0.7313050811796251,
+)
 
 
 @dataclass(frozen=True)
@@ -43,13 +78,17 @@ class DeformationFamily:
         return [mem for mem in self.members if mem.valid]
 
 
-def _metric_sample_points(data, count=METRIC_SAMPLE_COUNT):
-    import numpy as np
+def _uniform(low, high, draws):
+    """Generator.uniform(low, high) from its draws u in [0, 1): low + (high - low) * u."""
+    span = high - low
+    return [low + span * u for u in draws]
 
-    rng = np.random.default_rng(METRIC_SEED)
+
+def _metric_sample_points(data):
+    """(s, t) pairs, s uniform on 0.9 J and t on [0, 2 pi)."""
     lo, hi = data.J
-    ss = rng.uniform(0.9 * lo, 0.9 * hi, count)
-    ts = rng.uniform(0.0, 2.0 * math.pi, count)
+    ss = _uniform(0.9 * lo, 0.9 * hi, _METRIC_DRAWS[:METRIC_SAMPLE_COUNT])
+    ts = _uniform(0.0, 2.0 * math.pi, _METRIC_DRAWS[METRIC_SAMPLE_COUNT:])
     return list(zip(ss, ts))
 
 
@@ -97,13 +136,11 @@ def metric_deviation(a: EdgeData, b: EdgeData, points=None, *, reference=None):
 
 def _grid_axis(name, center, span, count, floor=-math.inf):
     """count values over center +- span (the lower end clipped to floor); [center] for 1."""
-    import numpy as np
-
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count!r}")
     if count == 1:
         return [center]
-    return [float(v) for v in np.linspace(max(center - span, floor), center + span, count)]
+    return linspace(max(center - span, floor), center + span, count)
 
 
 def deformation_family(data: EdgeData, h_span, m_span, nh, nm) -> DeformationFamily:
@@ -261,17 +298,16 @@ def revolution_path(data: EdgeData, steps) -> list:
     """Members along the linear pitch schedule h0 -> 0 (all remain valid)."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    import numpy as np
-
-    out = []
-    for h in np.linspace(data.h, 0.0, steps):
-        out.append(sibling(data, float(h), data.m))
-    return out
+    return [sibling(data, h, data.m) for h in linspace(data.h, 0.0, steps)]
 
 
 def export_family(family: DeformationFamily, out_dir, rows=40, cols=40,
                   tol=quadrature.DEFAULT_TOL):
-    """One OBJ per valid member plus family.csv with the invariant summary."""
+    """One OBJ per valid member plus family.csv with the invariant summary.
+
+    rows and cols are checked first: a refused grid writes no file.
+    """
+    bour.check_grid_shape(rows, cols)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "family.csv")
     with open(csv_path, "w") as fh:

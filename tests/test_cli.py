@@ -490,6 +490,18 @@ def test_deform_refuses_a_grid_count_below_one(capsys, datum_file, flag, count):
     assert err == f"bour-edge: error: {flag[2:]} must be at least 1, got {count}\n"
 
 
+@pytest.mark.parametrize("flag", ["--rows", "--cols"])
+def test_deform_refuses_a_mesh_below_two_before_writing_any_file(capsys, datum_file, tmp_path,
+                                                                 flag):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "deform", "--datum", datum_file, "--nh", "2", "--nm", "1",
+                             "--out", str(out_dir), flag, "1")
+    assert code == 2
+    assert out == ""
+    assert err == "bour-edge: error: rows and cols must be at least 2\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("x, y, det_32", [("1e200*s^2", "1e200*s^3", math.inf),
                                            ("1e200*s^2", "s^3*(-1e200)", -math.inf),
                                            ("1e-200*s^2", "1e-200*s^3", 0.0)])

@@ -1,6 +1,8 @@
 import math
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bour_edge import deform, invariants
@@ -223,3 +225,20 @@ def test_inversions_keep_their_reference_values(digest_data):
                                           (float.fromhex(kappa_nu), float.fromhex(kappa_t)))
         for got, want in ((result.h, float.fromhex(h)), (result.m, float.fromhex(m))):
             assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def test_stored_metric_draws_are_those_of_the_seeded_generator():
+    # A new METRIC_SEED or METRIC_SAMPLE_COUNT needs the stored tuple regenerated.
+    draws = np.random.default_rng(deform.METRIC_SEED).random(2 * deform.METRIC_SAMPLE_COUNT)
+    assert deform._METRIC_DRAWS == tuple(draws.tolist())
+
+
+@pytest.mark.parametrize("J", [(-0.8, 0.8), (-0.7, 0.7), (-0.45, 0.3), (-1e-3, 2.5),
+                               (-123.456, 7.0), (-1e-300, 1e-300)])
+def test_metric_sample_points_match_the_seeded_generator(J):
+    rng = np.random.default_rng(deform.METRIC_SEED)
+    ss = rng.uniform(0.9 * J[0], 0.9 * J[1], deform.METRIC_SAMPLE_COUNT)
+    ts = rng.uniform(0.0, 2.0 * math.pi, deform.METRIC_SAMPLE_COUNT)
+    points = deform._metric_sample_points(SimpleNamespace(J=J))  # it reads only J
+    assert all(type(s) is float and type(t) is float for s, t in points)
+    assert np.array(points).tobytes() == np.column_stack([ss, ts]).tobytes()

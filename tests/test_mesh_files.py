@@ -168,3 +168,12 @@ def test_a_path_target_enters_the_public_writer_once(edge_k1, tmp_path, monkeypa
     assert calls == [path]
     original(*args, stream)
     assert path.read_text() == stream.getvalue()
+
+
+def test_mesh_arrays_are_made_once_on_first_read(edge_k1):
+    mesh = bour.sample_mesh(edge_k1, rows=5, cols=4)
+    for name in ("s_values", "t_values", "positions"):
+        assert getattr(mesh, name) is getattr(mesh, name)
+    assert mesh.positions.shape == (5, 4, 3)
+    assert mesh.positions.tolist() == [[list(p) for p in row] for row in mesh.point_rows]
+    assert mesh.s_values.tolist() == mesh.s_grid and mesh.t_values.tolist() == mesh.t_grid

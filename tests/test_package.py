@@ -101,7 +101,16 @@ def test_classify_curve_does_not_import_numpy():
     assert out.stderr == "[]"
 
 
-@pytest.mark.parametrize("command", ["build", "isomers", "roundtrip"])
+@pytest.mark.parametrize("command", ["build", "isomers", "deform"])
+def test_file_writing_commands_do_not_import_numpy(data_files, tmp_path, command):
+    out = _fresh(CLI_THEN_NUMPY_MODULES, command, "--datum", data_files["readme"],
+                 "--out", str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "[]"
+
+
+# The control: the natural chart's tables are arrays.
+@pytest.mark.parametrize("command", ["roundtrip"])
 def test_array_commands_load_numpy_and_succeed(data_files, tmp_path, command):
     out = _fresh(CLI_THEN_NUMPY_MODULES, command, "--datum", data_files["readme"],
                  "--out", str(tmp_path / "out"))

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bour_edge._vec import cross, dot, fma, max_abs, solve2
+from bour_edge._vec import cross, dot, fma, linspace, max_abs, solve2
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -68,3 +69,43 @@ def test_solve2(a, b, x):
 def test_solve2_refuses_a_singular_matrix(a):
     with pytest.raises(ValueError, match="singular matrix"):
         solve2(a, (1.0, 1.0))
+
+
+def _matches_numpy(lo, hi, n):
+    """linspace(lo, hi, n) is np.linspace's bit for bit; a NaN (0 * inf where the span
+    overflows) matches a NaN."""
+    got = np.array(linspace(lo, hi, n), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(lo, hi, n)
+    nan = np.isnan(want)
+    return (np.isnan(got) == nan).all() and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@given(finite, finite, st.integers(min_value=0, max_value=300))
+def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
+    assert _matches_numpy(lo, hi, n)
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (-0.8, 0.8, 2),  # the two ends only
+    (0.2, 0.0, 6),  # descending, as revolution_path runs h -> 0
+    (1.0, -3.5, 41),
+    (0.0, 2.0 * math.pi, 60),
+    (5e-324, 2e-323, 7),  # the step underflows to 0
+    (-1e-322, 1e-322, 300),
+    (1.0, 1.0 + 2.0**-52, 1000),
+    (-1.7976931348623157e308, 1.7976931348623157e308, 5),  # the span overflows
+    (3.0, 4.0, 1),
+    (3.0, 4.0, 0),
+])
+def test_linspace_matches_numpy_on_edge_cases(lo, hi, n):
+    assert all(type(v) is float for v in linspace(lo, hi, n))
+    assert _matches_numpy(lo, hi, n)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "3"])
+def test_linspace_refuses_a_non_integer_count_as_numpy_does(n):
+    with pytest.raises(TypeError):
+        np.linspace(0.0, 1.0, n)
+    with pytest.raises(TypeError):
+        linspace(0.0, 1.0, n)
