@@ -25,6 +25,10 @@ compiled once per datum with U into one function.
 Every series at s = 0 is cut from the datum's U and V series:
 ``series_at_zero`` builds those of x, z and theta(., 0) once per datum
 (``EdgeData.series``), and each reader truncates what it needs.
+
+``fundamental_forms`` gives the first fundamental form at many points from
+their s^k, U and V, through one loop generated once per process from the
+formula of ``fundamental_form_from`` (``metric_form_kernel``).
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import quadrature
 from ._fmt import fill17, fmt17
 from ._vec import linspace
 from ._version import __version__
-from .expr import FLOAT, FORMS, Call, Emitter, Name, SmoothFn, check_angle, define
+from .expr import FLOAT, FORMS, Call, Emitter, Name, SmoothFn, check_angle, compile_rows, define
 from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
 from .profile import V_SWITCH_RADIUS, EdgeData, root_at, sqrt_at, star_radicand, x_squared
 
@@ -268,7 +273,13 @@ def fundamental_form_from(data: EdgeData, s, sk, u, v):
     U and V do not depend on h, m or the signs, so (h, m) siblings and isomers
     can share them.
     """
-    x, xprime, zprime, theta_s = profile_rates(data, sk, u, v, sqrt_at(s))
+    return FundamentalForm(*_form(data, sk, u, v, sqrt_at(s)))
+
+
+def _form(data, sk, u, v, sqrt):
+    """(E, F, G) from s^k, U(s), V(s) and the backend's sqrt, as profile_rates takes
+    them; floats or trees. ``data`` gives h, m and the signs."""
+    x, xprime, zprime, theta_s = profile_rates(data, sk, u, v, sqrt)
     h = data.h
     xr = x * x
     theta_t = data.eps1 / data.m
@@ -276,7 +287,30 @@ def fundamental_form_from(data: EdgeData, s, sk, u, v):
     E = xprime**2 + xr * theta_s**2 + zh**2
     F = theta_t * (xr * theta_s + h * zh)
     G = theta_t**2 * (xr + h**2)
-    return FundamentalForm(E=E, F=F, G=G)
+    return E, F, G
+
+
+@functools.cache
+def metric_form_kernel():
+    """fundamental_form_from over rows (s, s^k, U(s), V(s)), as one generated loop
+    (``expr.compile_rows``), built once per process.
+
+    ``kernel(rows, h, m, eps0, eps1, eps2)`` returns the list of (E, F, G), bit
+    for bit, and refuses where fundamental_form_from first refuses, with the
+    same error; sqrt and / are spelled as in the point kernel. What depends on
+    (h, m) and the signs alone (m^2, h^2, m^4, eps2 m, ...) is computed once per
+    call.
+    """
+    def formula(w, wk, u, v, h, m, eps0, eps1, eps2):  # w is read by _RATE_FORMS' sqrt
+        return _form(SimpleNamespace(h=h, m=m, eps0=eps0, eps1=eps1, eps2=eps2), wk, u, v, _tree_sqrt)
+
+    return compile_rows(formula, ("w", "wk", "u", "v"), ("h", "m", "eps0", "eps1", "eps2"),
+                        _RATE_FORMS, {"_msqrt": math.sqrt, "_root": root_at})
+
+
+def fundamental_forms(data: EdgeData, rows):
+    """(E, F, G) of fundamental_form_from at each (s, s^k, U(s), V(s)) of ``rows``."""
+    return metric_form_kernel()(rows, data.h, data.m, data.eps0, data.eps1, data.eps2)
 
 
 def _snap_zero_row(values):

@@ -7,6 +7,11 @@ diffeomorphically over the admissible region, with Jacobian determinant
 Jacobian comes from evaluating psi on jets; steps are halved until the
 radicand at s = 0 stays positive, and the solution is re-validated on all of J.
 
+A family's members share U and V at the metric sample points
+(``metric_reference``), so a member's forms are one call of
+``bour.fundamental_forms``: one generated loop over the 50 points, built once
+per process, with the (h, m) work done once per member.
+
 Two data are compared at METRIC_SAMPLE_COUNT seeded points (s, t), drawn as
 numpy's ``default_rng(METRIC_SEED).uniform`` draws them. The generator's 100
 values in [0, 1) are stored in ``_METRIC_DRAWS``, so no command needs numpy to
@@ -101,18 +106,15 @@ def _metric_values(data, points):
     return values
 
 
-def _forms(data, values):
-    return [bour.fundamental_form_from(data, *value) for value in values]
-
-
 def metric_reference(data: EdgeData, points):
-    """(values, forms): (s, s^k, U(s), V(s)) at each sample point and the datum's forms there.
+    """(values, forms): (s, s^k, U(s), V(s)) at each sample point and the datum's forms
+    (E, F, G) there (``bour.fundamental_forms``).
 
     The values depend only on U and k, so every datum sharing those (an
     (h, m) sibling, a sign variant) is compared with one reference.
     """
     values = _metric_values(data, points)
-    return values, _forms(data, values)
+    return values, bour.fundamental_forms(data, values)
 
 
 def metric_deviation(a: EdgeData, b: EdgeData, points=None, *, reference=None):
@@ -128,10 +130,8 @@ def metric_deviation(a: EdgeData, b: EdgeData, points=None, *, reference=None):
         b_values = _metric_values(b, points)
     else:
         b_values = reference[0]
-    worst = 0.0
-    for fa, fb in zip(reference[1], _forms(b, b_values)):
-        worst = max(worst, abs(fa.E - fb.E) + abs(fa.F - fb.F) + abs(fa.G - fb.G))
-    return worst
+    return max([0.0, *(abs(Ea - Eb) + abs(Fa - Fb) + abs(Ga - Gb) for (Ea, Fa, Ga), (Eb, Fb, Gb)
+                       in zip(reference[1], bour.fundamental_forms(b, b_values)))])
 
 
 def _grid_axis(name, center, span, count, floor=-math.inf):

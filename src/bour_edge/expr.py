@@ -27,6 +27,15 @@ one. ``Emitter`` and ``define`` are the generator itself, which
 ``bour.point_kernel`` also drives to compile several trees that share
 subtrees into one function.
 
+``compile_rows`` drives them to compile a Python formula, run once on
+``Name`` leaves, into one loop over rows of floats: what reads only its
+parameters, through + - * and powers n >= 0, is computed once before the
+loop. An (h, m) family member's star scan (``profile.star_scan_kernel``)
+and metric forms (``bour.metric_form_kernel``) are such loops, each built
+once per process from the formula the float path also runs; a member then
+costs one generated loop over 1,025 star rows and one over 50 metric
+points, where it cost a Python call chain per point.
+
 First derivatives do not need jets. ``differentiate`` builds the derivative
 tree of a tree once, with the usual rules, and ``SmoothFn.prime`` caches it
 as a ``SmoothFn``, so U'(s) is a compiled float call like U(s). Its divisors
@@ -41,7 +50,7 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import DomainError, ExprSyntaxError
 
@@ -323,7 +332,7 @@ class Emitter:
     bit for bit and raises the walk's first error; a node already emitted, or
     a right-hand side already bound, is not computed again. ``Var`` is ``x``,
     a ``Name`` is what ``bound`` maps its id to, and literals reach the code
-    only as names bound in ``env``.
+    only as names bound in ``env``; an integer exponent is written into it.
     """
 
     def __init__(self, ops):
@@ -377,7 +386,7 @@ class Emitter:
         elif kind is IntPow:
             # A power n >= 0 is the value type's own, as the backend's pow computes it.
             form = forms["^"] if node.exponent < 0 else "{} ** {}"
-            name = self.bind(form.format(self.emit(node.base, forms), self.literal(node.exponent)))
+            name = self.bind(form.format(self.emit(node.base, forms), node.exponent))
         elif kind is Call and node.fn in _FUNCTIONS:
             name = self.bind(forms[node.fn].format(self.emit(node.arg, forms)))
         elif kind is Neg:
@@ -390,15 +399,12 @@ class Emitter:
 
 def define(env, param, head, body):
     """``compiled(param)`` in the namespace ``env``: the lines ``head``, then ``body``
-    with overflow raised as a DomainError. The source is kept as ``.source``."""
-    source = "\n".join([
-        f"def compiled({param}):",
-        *(f"    {line}" for line in head),
-        "    try:",
-        *(f"        {line}" for line in body),
-        "    except OverflowError as exc:",
-        "        raise _DomainError(f'overflow in expression evaluation ({exc})') from exc",
-    ])
+    with overflow raised as a DomainError (no ``body``, no guard). The source is kept
+    as ``.source``."""
+    guarded = ["try:", *(f"    {line}" for line in body), "except OverflowError as exc:",
+               "    raise _DomainError(f'overflow in expression evaluation ({exc})') from exc"]
+    source = "\n".join([f"def compiled({param}):",
+                         *(f"    {line}" for line in [*head, *(guarded if body else ())])])
     exec(compile(source, "<expression>", "exec"), env)
     compiled = env["compiled"]
     compiled.source = source
@@ -414,6 +420,101 @@ def compile_tree(root, ops):
     code = Emitter(ops)
     result = code.emit(root)
     return define(code.env, "x", (), [*code.lines, f"return {result}"])
+
+
+def compile_rows(formula, row_names, param_names, forms=FORMS, names=None):
+    """``formula`` over many rows, as one generated function ``compiled(rows, *params)``.
+
+    ``formula`` is called once, on ``SmoothFn`` leaves ``Name(id)`` for each
+    row name and then each parameter name, and returns one tree or a tuple of
+    trees. The function returns the list of their values at each row of
+    ``rows``, an iterable of tuples in ``row_names`` order, with operations
+    spelled as ``forms`` says; ``names`` binds the functions ``forms`` calls
+    beyond ``FLOAT``'s. ``rows``, ``out``, ``t<i>`` and names that start with
+    an underscore are the code's own.
+
+    Every subtree that reads only parameters and literals through + - *,
+    negation and powers n >= 0 is computed once, before the loop; no / and no
+    call is. In the loop the calls (sqrt, sin, cos, exp), with their
+    arguments, come first, then the rest, each in the order a left-to-right
+    walk of the results reaches it. Where ``forms`` spells each operation as
+    the formula's float run computes it, the values are that run's, row by
+    row and bit for bit. So is the first refusal, with its type and message,
+    if the formula takes its calls before any other step of a row that can
+    fail, as ``bour.profile_rates`` does; overflow is not turned into a
+    DomainError. Of the hoisted operations only a power can raise (an
+    overflowing float ** int); if one does, the rows are run by the same code
+    with nothing hoisted, built then.
+    """
+    return _row_loop(formula, tuple(row_names), tuple(param_names), forms, dict(names or {}), True)
+
+
+def _row_loop(formula, row_names, param_names, forms, names, hoist):
+    leaves = [SmoothFn(Name(name)) for name in (*row_names, *param_names)]
+    result = formula(*leaves)
+    single = not isinstance(result, tuple)
+    roots = [result.root] if single else [f.root for f in result]
+    code = Emitter(FLOAT)
+    code.env.update(names)
+    code.bound.update((name, name) for name in param_names)
+    if hoist:
+        params, memo, seen = set(param_names), {}, set()
+        for root in roots:
+            _emit_largest(root, code, forms, lambda node: _invariant(node, params, memo), seen)
+    loop = code.fork()
+    loop.bound.update((name, name) for name in row_names)
+    seen = set()
+    for root in roots:
+        _emit_largest(root, loop, forms, lambda node: type(node) is Call, seen)
+    values = [loop.emit(root, forms) for root in roots]
+    value = values[0] if single else f"({', '.join(values)},)"
+    args = ", ".join(("rows", *param_names))
+    head = []
+    if code.lines:
+        unhoisted = cache(lambda: _row_loop(formula, row_names, param_names, forms, names, False))
+        code.env["_unhoisted"] = lambda *args: unhoisted()(*args)
+        head = ["try:", *(f"    {line}" for line in code.lines),
+                "except OverflowError:", f"    return _unhoisted({args})"]
+    return define(code.env, args, [
+        *head, "out = []", f"for {', '.join(row_names)} in rows:",
+        *(f"    {line}" for line in loop.lines), f"    out.append({value})", "return out"], ())
+
+
+def _emit_largest(node, code, forms, accept, seen):
+    """Emit into ``code`` each largest subtree of ``node`` that ``accept`` takes, left
+    to right; ``seen`` holds the ids of the nodes visited so far."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if accept(node):
+        code.emit(node, forms)
+        return
+    for name in ("arg", "left", "right", "base"):
+        child = getattr(node, name, None)
+        if child is not None:
+            _emit_largest(child, code, forms, accept, seen)
+
+
+def _invariant(node, params, memo):
+    """Whether ``node`` reads only the parameters ``params`` and literals, through
+    + - *, negation and powers n >= 0."""
+    key = id(node)
+    if key not in memo:
+        kind = type(node)
+        if kind is Name:
+            memo[key] = node.id in params
+        elif kind is Const:
+            memo[key] = True
+        elif kind is BinOp:
+            memo[key] = (node.op in "+-*" and _invariant(node.left, params, memo)
+                         and _invariant(node.right, params, memo))
+        elif kind is Neg:
+            memo[key] = _invariant(node.arg, params, memo)
+        elif kind is IntPow:
+            memo[key] = node.exponent >= 0 and _invariant(node.base, params, memo)
+        else:
+            memo[key] = False
+    return memo[key]
 
 
 # Derivative trees. A zero derivative (literal 0) is folded away; a zero

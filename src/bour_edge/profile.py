@@ -18,7 +18,10 @@ and ``EdgeData.point_kernel`` the rates at a float point, as generated code.
 (h, m) family member of a valid datum, re-checks only h, m and the star condition.
 U and V do not depend on h or m, so a datum and its siblings share one table
 of U and V on the default star grid (``EdgeData.star_grid``), evaluated on
-first use; each member's scan then costs one radicand per grid point.
+first use. Each member's scan then runs ``star_radicand`` over the table's
+rows in one generated loop (``star_scan_kernel``, built once per process),
+with m^2, h^2 and m^4 computed once, and reads the failures only when the
+least radicand, or the sum that carries a NaN, is not positive.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import (
     NegativeRadicand,
@@ -35,7 +39,7 @@ from .errors import (
     NonVanishingLowDerivative,
     StarViolation,
 )
-from .expr import SmoothFn, parse_expr
+from .expr import SmoothFn, compile_rows, parse_expr
 from .jets import MAX_ORDER, Jet, jet_divide_by_power, jet_eval, require_order
 
 DATUM_FIELDS = ("U", "h", "m", "eps0", "eps1", "eps2", "k", "J")  # in JSON order
@@ -202,6 +206,14 @@ def grid_values(data: EdgeData, samples):
     return grid, us, [data.v_value(s) for s in grid]
 
 
+@cache
+def star_scan_kernel():
+    """``star_radicand`` over rows (u, v), as ``expr.compile_rows`` generates it once
+    per process: ``kernel(rows, h, m)`` is the list of the radicands, bit for bit.
+    m^2, h^2 and m^4 are computed once per call."""
+    return compile_rows(star_radicand, ("u", "v"), ("h", "m"))
+
+
 def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
     """Evaluate the radicand on a grid plus bisection near sign changes.
 
@@ -214,10 +226,13 @@ def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
         grid, us, vs = data.star_grid
     else:
         grid, us, vs = grid_values(data, samples)
-    values = [star_radicand(u, v, data.h, data.m) for u, v in zip(us, vs)]
+    values = star_scan_kernel()(zip(us, vs), data.h, data.m)
     rho_min = min(values)
-    failures = [("rho_at_zero" if s == 0.0 else "rho_positive", s, val)
-                for s, val in zip(grid, values) if not val > 0.0]
+    # min() passes over a NaN after the first value, and a sum holds it: the scan is
+    # clean when both are positive, and otherwise every value is tested.
+    failures = [] if rho_min > 0.0 and sum(values) > 0.0 else [
+        ("rho_at_zero" if s == 0.0 else "rho_positive", s, val)
+        for s, val in zip(grid, values) if not val > 0.0]
     # A sign change needs a non-positive value, so a clean scan skips the pairs.
     pairs = zip(zip(grid, values), zip(grid[1:], values[1:])) if failures else ()
     for (s0, v0), (s1, v1) in pairs:

@@ -55,6 +55,8 @@ COMMANDS = (
     ["build", "--out", "out", "--rows", "12", "--cols", "9"],
     ["isomers", "--out", "out", "--rows", "6", "--cols", "5"],
     ["deform", "--nh", "3", "--nm", "3"],
+    # a span wide enough that some members are refused
+    ["deform", "--nh", "5", "--nm", "3", "--h-span", "0.9"],
     ["deform", "--samples", "64", "--out", "out", "--nh", "2", "--nm", "2",
      "--rows", "5", "--cols", "4"],
     ["invert", "--target-kappa-nu", "0.95", "--target-kappa-t", "0.1", "--out", "out"],
