@@ -29,6 +29,15 @@ Every series at s = 0 is cut from the datum's U and V series:
 ``fundamental_forms`` gives the first fundamental form at many points from
 their s^k, U and V, through one loop generated once per process from the
 formula of ``fundamental_form_from`` (``metric_form_kernel``).
+
+``sample_mesh`` reads (x, z, theta(s, 0)) once per s-row and assembles the
+row's points in one loop generated once per process from ``_assemble``'s
+formula run on trees (``mesh_row_kernel``), over the columns' eps1 t / m,
+which are computed once per mesh. sin and cos are math's own where the angle
+is finite, so a point costs no Python call. The OBJ writer fills one
+``%.17g`` template per row and writes the faces as one block of text, which
+depends on the mesh's shape alone and is kept for the last four shapes
+(``_face_block``), so the meshes of a family or of the isomers share it.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ from . import quadrature
 from ._fmt import fill17, fmt17
 from ._vec import linspace
 from ._version import __version__
-from .expr import FLOAT, FORMS, Call, Emitter, Name, SmoothFn, check_angle, compile_rows, define
+from .expr import (FLOAT, FLOAT_FORMS, FORMS, Call, Emitter, Name, SmoothFn, check_angle, compile_rows,
+                   define)
 from .jets import jet_sin_cos, jet_sqrt, require_order, variable_jet
 from .profile import V_SWITCH_RADIUS, EdgeData, root_at, sqrt_at, star_radicand, x_squared
 
@@ -134,9 +144,9 @@ def profile_rates(data: EdgeData, wk, u, v, sqrt):
             -data.eps2 * h * (wk * rho / (u * xsq)) / m)
 
 
-# The leaves profile_rates is run on to build a point kernel: the point w,
-# w^k, U(w), U'(w) and V(w), each a name the kernel binds.
-_W, _WK, _U, _UP, _V = (SmoothFn(Name(name)) for name in ("w", "wk", "u", "up", "v"))
+# The leaves profile_rates is run on to build a point kernel: w^k, U(w), U'(w)
+# and V(w), each a name the kernel binds.
+_WK, _U, _UP, _V = (SmoothFn(Name(name)) for name in ("wk", "u", "up", "v"))
 
 # How a point kernel spells the Bour quantities' own operations: a plain /, as
 # profile_rates divides floats, and sqrt_at's guard at w, which is called only
@@ -156,16 +166,17 @@ def point_kernel(data: EdgeData):
     error. The code is ``expr.Emitter``'s: U's tree on ``FLOAT``, then
     profile_rates run on trees, in one pass that computes each shared subtree
     once. V has two branches after one test of abs(w) < V_SWITCH_RADIUS, as
-    ``EdgeData.v_value``: inside, V's series at 0, and U' is never evaluated;
-    outside, U'(w) / w^k, where U' shares U's subtrees. w^k is computed first
-    and U's tree reads float(w), as U(w) does.
+    ``EdgeData.v_value``: inside, the datum's ``v_jet`` at w, which the kernel
+    calls, and U' is never evaluated; outside, U'(w) / w^k, where U' shares
+    U's subtrees. w^k is computed first and U's tree reads float(w), as U(w)
+    does.
     """
     rates = [f.root for f in profile_rates(data, _WK, _U, _V, _tree_sqrt)]
     code = Emitter(FLOAT)
-    code.env.update(_msqrt=math.sqrt, _root=root_at)
+    code.env.update(_root=root_at, _vjet=data.v_jet)
     code.bound.update(w="w", wk="wk", u=code.emit(data.U.root))
     near, far = code.fork(), code.fork()
-    near.bound["v"] = near.emit(data.v_jet(_W).root, _RATE_FORMS)
+    near.bound["v"] = near.bind("_vjet(w)")
     far.bound["up"] = far.emit(data.U.prime.root)
     far.bound["v"] = far.emit((_UP / _WK).root, _RATE_FORMS)
     near_result, far_result = (", ".join(branch.emit(root, _RATE_FORMS) for root in rates)
@@ -210,9 +221,14 @@ def z_of_s(data: EdgeData, s, tol=quadrature.DEFAULT_TOL):
     return _integral(data, 2, s, tol)
 
 
+def _turn(data: EdgeData, t):
+    """eps1 t / m, the part of theta(s, t) that depends on t alone."""
+    return data.eps1 * t / data.m
+
+
 def theta(data: EdgeData, s, t, tol=quadrature.DEFAULT_TOL):
     """theta(s, t) = eps1 t / m + theta(s, 0)."""
-    return data.eps1 * t / data.m + _integral(data, 3, s, tol)
+    return _turn(data, t) + _integral(data, 3, s, tol)
 
 
 def _row(data: EdgeData, s, tol):
@@ -233,17 +249,38 @@ def _sin_cos(angle):
     return math.sin(angle), math.cos(angle)
 
 
-def _assemble(data: EdgeData, t, x, z, theta0, sin_cos):
-    """Psi at t from x, z and theta(., 0) at one s; floats (``_sin_cos``) or jets
-    in s (``jet_sin_cos``)."""
-    th = data.eps1 * t / data.m + theta0
+def _tree_sin_cos(f):
+    return SmoothFn(Call("sin", f.root)), SmoothFn(Call("cos", f.root))
+
+
+def _assemble(data: EdgeData, turn, x, z, theta0, sin_cos):
+    """Psi at the t of ``turn`` = eps1 t / m (``_turn``) from x, z and theta(., 0) at
+    one s; floats (``_sin_cos``), jets in s (``jet_sin_cos``) or trees."""
+    th = turn + theta0
     sin_th, cos_th = sin_cos(th)
     return x * cos_th, x * sin_th, z + data.h * th
 
 
+@functools.cache
+def mesh_row_kernel():
+    """_assemble over one mesh row, as one generated loop (``expr.compile_rows``),
+    built once per process.
+
+    ``kernel(turns, x, z, theta0, h)`` returns the (x, y, z) of Psi at each
+    column's eps1 t / m, bit for bit as _assemble with ``_sin_cos`` does, and
+    refuses a non-finite angle with the same DomainError. sin and cos are
+    math's own where the angle is finite, and FLOAT's guards where it is not.
+    """
+    def formula(turn, x, z, theta0, h):
+        return _assemble(SimpleNamespace(h=h), turn, x, z, theta0, _tree_sin_cos)
+
+    return compile_rows(formula, ("turn",), ("x", "z", "theta0", "h"), FLOAT_FORMS)
+
+
 def psi(data: EdgeData, s, t, tol=quadrature.DEFAULT_TOL):
     """The surface point Psi(s, t)."""
-    return SurfacePoint(position=_assemble(data, t, *_row(data, s, tol), _sin_cos),
+    row = _row(data, s, tol)
+    return SurfacePoint(position=_assemble(data, _turn(data, t), *row, _sin_cos),
                         s=s, t=t, singular=abs(s) < SINGULAR_EPS)
 
 
@@ -254,7 +291,7 @@ def psi_jet_at_zero(data: EdgeData, t, order):
     """
     require_order(order, min(j.order for j in data.series),
                   f"the s-derivatives of Psi at k = {data.k} need the x, z and theta series")
-    return _assemble(data, t, *(j.truncated(order) for j in data.series), jet_sin_cos)
+    return _assemble(data, _turn(data, t), *(j.truncated(order) for j in data.series), jet_sin_cos)
 
 
 def first_fundamental_form(data: EdgeData, s, t):
@@ -305,7 +342,7 @@ def metric_form_kernel():
         return _form(SimpleNamespace(h=h, m=m, eps0=eps0, eps1=eps1, eps2=eps2), wk, u, v, _tree_sqrt)
 
     return compile_rows(formula, ("w", "wk", "u", "v"), ("h", "m", "eps0", "eps1", "eps2"),
-                        _RATE_FORMS, {"_msqrt": math.sqrt, "_root": root_at})
+                        _RATE_FORMS, {"_root": root_at})
 
 
 def fundamental_forms(data: EdgeData, rows):
@@ -353,10 +390,13 @@ def sample_mesh(data: EdgeData, s_range=None, t_range=None, rows=60, cols=60,
     if lo <= 0.0 <= hi:
         singular_row = _snap_zero_row(s_values)
     t_values = linspace(t_range[0], t_range[1], cols)
-    positions = []
+    assemble = mesh_row_kernel()
+    positions, turns = [], None
     for s in s_values:
         row = _row(data, s, tol)
-        positions.append([_assemble(data, t, *row, _sin_cos) for t in t_values])
+        if turns is None:  # after the first row, which refuses m = 0 before eps1 t / m can
+            turns = [_turn(data, t) for t in t_values]
+        positions.append(assemble(turns, *row, data.h))
     return Mesh(s_values=s_values, t_values=t_values, positions=positions,
                 singular_row=singular_row, datum=data)
 
@@ -372,12 +412,18 @@ def write_obj(mesh: Mesh, target):
 
 def _write_obj(mesh: Mesh, out: io.TextIOBase):
     out.write(f"# bour-edge {__version__} datum={mesh.datum.to_json()}\n")
-    rows, cols = mesh.rows, mesh.cols
-    template = "v %.17g %.17g %.17g\n" * cols
+    template = "v %.17g %.17g %.17g\n" * mesh.cols
     for row in mesh.point_rows:
         out.write(fill17(template, itertools.chain.from_iterable(row)))
-    out.writelines(f"f {a} {a + 1} {a + cols + 1} {a + cols}\n"
-                   for r in range(rows - 1) for a in range(r * cols + 1, (r + 1) * cols))
+    out.write(_face_block(mesh.rows, mesh.cols))
+
+
+@functools.lru_cache(maxsize=4)
+def _face_block(rows, cols):
+    """The OBJ face lines of a rows x cols mesh, one quad per grid cell. They depend
+    on the shape alone, so the last four shapes' texts are kept."""
+    return "".join([f"f {a} {a + 1} {a + cols + 1} {a + cols}\n"
+                    for r in range(rows - 1) for a in range(r * cols + 1, (r + 1) * cols)])
 
 
 def write_form_csv(data: EdgeData, s_values, t_values, target):

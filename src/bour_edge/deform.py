@@ -10,7 +10,9 @@ radicand at s = 0 stays positive, and the solution is re-validated on all of J.
 A family's members share U and V at the metric sample points
 (``metric_reference``), so a member's forms are one call of
 ``bour.fundamental_forms``: one generated loop over the 50 points, built once
-per process, with the (h, m) work done once per member.
+per process, with the (h, m) work done once per member. The values are kept
+in a holder the base shares with its siblings (``EdgeData.metric_values``),
+so a later family or the ``isomers`` of the same base read none of them again.
 
 Two data are compared at METRIC_SAMPLE_COUNT seeded points (s, t), drawn as
 numpy's ``default_rng(METRIC_SEED).uniform`` draws them. The generator's 100
@@ -106,14 +108,19 @@ def _metric_values(data, points):
     return values
 
 
-def metric_reference(data: EdgeData, points):
-    """(values, forms): (s, s^k, U(s), V(s)) at each sample point and the datum's forms
-    (E, F, G) there (``bour.fundamental_forms``).
+def metric_values(data: EdgeData):
+    """_metric_values at the datum's metric sample points; ``EdgeData.metric_values``
+    keeps them for the datum and its siblings."""
+    return _metric_values(data, _metric_sample_points(data))
 
-    The values depend only on U and k, so every datum sharing those (an
+
+def metric_reference(data: EdgeData, values):
+    """(values, forms): ``values``, the (s, s^k, U(s), V(s)) at each sample point, and
+    the datum's forms (E, F, G) there (``bour.fundamental_forms``).
+
+    The values depend only on U, k and J, so every datum sharing those (an
     (h, m) sibling, a sign variant) is compared with one reference.
     """
-    values = _metric_values(data, points)
     return values, bour.fundamental_forms(data, values)
 
 
@@ -126,7 +133,7 @@ def metric_deviation(a: EdgeData, b: EdgeData, points=None, *, reference=None):
     if reference is None:
         if points is None:
             points = _metric_sample_points(a)
-        reference = metric_reference(a, points)
+        reference = metric_reference(a, _metric_values(a, points))
         b_values = _metric_values(b, points)
     else:
         b_values = reference[0]
@@ -155,7 +162,6 @@ def deformation_family(data: EdgeData, h_span, m_span, nh, nm) -> DeformationFam
     """
     hs = _grid_axis("nh", data.h, h_span, nh)
     ms = _grid_axis("nm", data.m, m_span, nm, floor=1e-6)
-    points = _metric_sample_points(data)
     reference = None
     members = []
     for h in hs:
@@ -166,7 +172,7 @@ def deformation_family(data: EdgeData, h_span, m_span, nh, nm) -> DeformationFam
                 members.append(FamilyMember(h, m, False, None, None))
                 continue
             if reference is None:  # on the first valid member: a family with none reads no form
-                reference = metric_reference(data, points)
+                reference = metric_reference(data, data.metric_values)
             dev = metric_deviation(data, member, reference=reference)
             members.append(FamilyMember(h, m, True, member, dev))
     return DeformationFamily(base=data, members=tuple(members))
@@ -288,7 +294,8 @@ def isomers(data: EdgeData) -> IsomerSet:
         data.replace(eps1=e1, eps2=e2)
         for e1, e2 in ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
     )
-    reference = metric_reference(variants[0], _metric_sample_points(data))
+    # the values the base shares with its family, if one has read them
+    reference = metric_reference(variants[0], data.metric_values)
     dev = max(metric_deviation(variants[0], v, reference=reference) for v in variants[1:])
     helix = tuple(singular_helix_invariants(v) for v in variants)
     return IsomerSet(variants=variants, metric_deviation=dev, helix=helix)

@@ -24,17 +24,19 @@ once here, so floats and jets accept and refuse the same points. A
 ``SmoothFn`` compiles its tree once per backend, on first use:
 ``SmoothFn.__call__`` runs the float function and ``jets.jet_eval`` the jet
 one. ``Emitter`` and ``define`` are the generator itself, which
-``bour.point_kernel`` also drives to compile several trees that share
-subtrees into one function.
+``bour.point_kernel`` and ``profile.table_loop`` also drive to compile
+several trees that share subtrees into one function. ``FLOAT_FORMS`` spells
+FLOAT's guards into the code, so a value they accept costs no Python call.
 
 ``compile_rows`` drives them to compile a Python formula, run once on
 ``Name`` leaves, into one loop over rows of floats: what reads only its
 parameters, through + - * and powers n >= 0, is computed once before the
-loop. An (h, m) family member's star scan (``profile.star_scan_kernel``)
-and metric forms (``bour.metric_form_kernel``) are such loops, each built
-once per process from the formula the float path also runs; a member then
-costs one generated loop over 1,025 star rows and one over 50 metric
-points, where it cost a Python call chain per point.
+loop. An (h, m) family member's star scan (``profile.star_scan_kernel``),
+its metric forms (``bour.metric_form_kernel``) and a mesh row
+(``bour.mesh_row_kernel``) are such loops, each built once per process from
+the formula the float path also runs; a member then costs one generated
+loop over 1,025 star rows and one over 50 metric points, and a mesh row one
+loop over its columns, where each cost a Python call chain per point.
 
 First derivatives do not need jets. ``differentiate`` builds the derivative
 tree of a tree once, with the usual rules, and ``SmoothFn.prime`` caches it
@@ -322,6 +324,14 @@ FORMS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div({}, {})", "n
          "^": "_pow({}, {})", "sin": "_sin({})", "cos": "_cos({})", "exp": "_exp({})",
          "sqrt": "_sqrt({})"}
 
+# FORMS for code on FLOAT with the guards written in: a value that a guard accepts
+# costs no Python call, and one it refuses, or a NaN, goes to FLOAT's guarded
+# function, which raises as FLOAT does. The values are FORMS' bit for bit.
+FLOAT_FORMS = {**FORMS, "/": "({0} / {1} if abs({1}) >= " + repr(DIV_FLOOR) + " else _div({0}, {1}))",
+               "sin": "(_msin({0}) if {0} - {0} == 0.0 else _sin({0}))",
+               "cos": "(_mcos({0}) if {0} - {0} == 0.0 else _cos({0}))",
+               "sqrt": "(_msqrt({0}) if {0} >= 0.0 else _sqrt({0}))"}
+
 
 class Emitter:
     """Straight-line code for trees on the backend ``ops``, one line per distinct subtree.
@@ -338,6 +348,7 @@ class Emitter:
     def __init__(self, ops):
         self.env = {"_div": ops.div, "_pow": ops.pow, "_sin": ops.sin, "_cos": ops.cos,
                     "_exp": ops.exp, "_sqrt": ops.sqrt, "_const": ops.const,
+                    "_msin": math.sin, "_mcos": math.cos, "_msqrt": math.sqrt,
                     "_DomainError": DomainError}
         self.lifts = ops.const is not None
         self.literals = {}

@@ -18,10 +18,15 @@ and ``EdgeData.point_kernel`` the rates at a float point, as generated code.
 (h, m) family member of a valid datum, re-checks only h, m and the star condition.
 U and V do not depend on h or m, so a datum and its siblings share one table
 of U and V on the default star grid (``EdgeData.star_grid``), evaluated on
-first use. Each member's scan then runs ``star_radicand`` over the table's
-rows in one generated loop (``star_scan_kernel``, built once per process),
-with m^2, h^2 and m^4 computed once, and reads the failures only when the
-least radicand, or the sum that carries a NaN, is not positive.
+first use through one loop generated for the datum (``table_loop``): U's and
+U''s trees in one pass per point, and V as ``v_value`` reads it. Where that
+loop raises or meets a U that is not positive, the points are read one by
+one, so the error is the pointwise one. Each member's scan then runs
+``star_radicand`` over the table's rows in one generated loop
+(``star_scan_kernel``, built once per process), with m^2, h^2 and m^4
+computed once, and reads the failures only when the least radicand, or the
+sum that carries a NaN, is not positive. The siblings also share deform's
+values at the metric sample points (``EdgeData.metric_values``).
 """
 
 from __future__ import annotations
@@ -34,12 +39,13 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import (
+    DomainError,
     NegativeRadicand,
     NonPositiveU,
     NonVanishingLowDerivative,
     StarViolation,
 )
-from .expr import SmoothFn, compile_rows, parse_expr
+from .expr import FLOAT, FLOAT_FORMS, Emitter, SmoothFn, compile_rows, define, parse_expr
 from .jets import MAX_ORDER, Jet, jet_divide_by_power, jet_eval, require_order
 
 DATUM_FIELDS = ("U", "h", "m", "eps0", "eps1", "eps2", "k", "J")  # in JSON order
@@ -70,8 +76,9 @@ class EdgeData:
     _rho_min: float = field(compare=False, default=None, repr=False)
     _series: tuple = field(compare=False, default=None, repr=False)
     _point_kernel: object = field(compare=False, default=None, repr=False)
-    # A one-slot holder for star_grid, shared by the datum and its siblings.
+    # One-slot holders for star_grid and metric_values, shared by the datum and its siblings.
     _star_grid: list = field(compare=False, default_factory=lambda: [None], repr=False)
+    _metric_values: list = field(compare=False, default_factory=lambda: [None], repr=False)
 
     @property
     def n(self):
@@ -127,10 +134,22 @@ class EdgeData:
             self._star_grid[0] = grid_values(self, DEFAULT_STAR_SAMPLES)
         return self._star_grid[0]
 
+    @property
+    def metric_values(self):
+        """(s, s^k, U(s), V(s)) at the metric sample points of ``deform``, evaluated
+        once (``deform.metric_values``). They depend only on U, k and J, so the
+        holder is shared with every ``sibling``, as star_grid's is."""
+        if self._metric_values[0] is None:
+            from .deform import metric_values  # deform imports this module
+
+            self._metric_values[0] = metric_values(self)
+        return self._metric_values[0]
+
     def replace(self, **kwargs):
         """An unchecked copy with fields overridden; the scan's rho_min, the series,
-        the point kernel and the star grid's values are dropped, since U or J may
-        change. A new U (a tree or its text) or k gets U's and V's series at 0 anew."""
+        the point kernel and the values of the star grid and the metric points are
+        dropped, since U or J may change. A new U (a tree or its text) or k gets U's
+        and V's series at 0 anew."""
         if "U" in kwargs or "k" in kwargs:
             U, k = kwargs.get("U", self.U), kwargs.get("k", self.k)
             if isinstance(U, str):
@@ -138,7 +157,7 @@ class EdgeData:
             u_jet = _u_series(U, k)
             kwargs.update(u_jet=u_jet, v_jet=jet_divide_by_power(u_jet.differentiate(), k, tol=None))
         return dataclasses.replace(self, _rho_min=None, _series=None, _point_kernel=None,
-                                   _star_grid=[None], **kwargs)
+                                   _star_grid=[None], _metric_values=[None], **kwargs)
 
     def to_dict(self):
         doc = {name: getattr(self, name) for name in DATUM_FIELDS}
@@ -193,17 +212,53 @@ def grid_values(data: EdgeData, samples):
     The grid has ``samples`` equal steps' end points, plus s = 0 if missing.
     U is evaluated once per point. Raises NonPositiveU at the first point
     where U is not positive, before any V is evaluated.
+
+    The values come from the datum's ``table_loop``. If it raises, or finds a
+    U that is not positive, U and V are read point by point instead, so the
+    error is the pointwise reading's, in its order: U' may refuse a point
+    where V is read from its series, and a U' error at one point must not come
+    before a U that is not positive at a later one.
     """
     lo, hi = data.J
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     if not any(abs(g) < 1e-15 for g in grid):
         grid.append(0.0)
         grid.sort()
+    try:
+        table = table_loop(data)(grid)
+    except (ArithmeticError, DomainError):
+        table = None
+    if table is not None:
+        return grid, *table
     us = [data.u_value(s) for s in grid]
     for s, u in zip(grid, us):
         if not u > 0.0:
             raise NonPositiveU(f"U({s!r}) = {u!r} is not positive on J")
     return grid, us, [data.v_value(s) for s in grid]
+
+
+def table_loop(data: EdgeData):
+    """U and V over a grid, as one function generated for the datum.
+
+    ``loop(grid)`` returns the lists (us, vs) bit for bit as ``u_value`` and
+    ``v_value`` read them, or None at the first point where U is not positive.
+    U's tree and its derivative's are emitted together, with FLOAT's guards
+    written in (``expr.FLOAT_FORMS``), so a subtree they share, such as a sin
+    or cos, runs once per point. V is U'/s^k outside V_SWITCH_RADIUS and the
+    datum's ``v_jet`` inside it, but U' is read at every point, and an error
+    is not turned into a DomainError: ``grid_values`` reads the points one by
+    one when the loop raises.
+    """
+    code = Emitter(FLOAT)
+    code.env["_vjet"] = data.v_jet
+    u = code.emit(data.U.root, FLOAT_FORMS)
+    up = code.emit(data.U.prime.root, FLOAT_FORMS)
+    radius = code.literal(V_SWITCH_RADIUS)
+    return define(code.env, "grid", [
+        "us, vs = [], []", "for x in grid:", *(f"    {line}" for line in code.lines),
+        f"    if not {u} > 0.0:", "        return None", f"    us.append({u})",
+        f"    vs.append(_vjet(x) if abs(x) < {radius} else {up} / x ** {data.k})",
+        "return us, vs"], ())
 
 
 @cache
@@ -341,9 +396,9 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
 
 
 def sibling(data: EdgeData, h, m):
-    """The valid datum's (h, m) sibling: U, k, J, signs, U's series and the star
-    grid's values are shared, so only h, m and the star condition (default grid)
-    are checked again."""
+    """The valid datum's (h, m) sibling: U, k, J, signs, U's series and the values
+    of the star grid and the metric points are shared, so only h, m and the star
+    condition (default grid) are checked again."""
     h, m = _checked_hm(h, m, data.J)
     member = dataclasses.replace(data, h=h, m=m, _rho_min=None, _series=None, _point_kernel=None)
     return _star_checked(member, DEFAULT_STAR_SAMPLES)

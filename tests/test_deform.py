@@ -1,15 +1,16 @@
 import math
 import os
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bour_edge import deform, invariants
+from bour_edge import deform, invariants, profile
 from bour_edge.cusps import classify_edge
 from bour_edge.errors import NoConvergence, StarViolation
-from bour_edge.expr import parse_expr
-from bour_edge.profile import make_edge_data
+from bour_edge.expr import SmoothFn, parse_expr
+from bour_edge.profile import V_SWITCH_RADIUS, make_edge_data
 
 
 def test_family_contains_revolution_member(edge_k1):
@@ -164,22 +165,49 @@ def test_family_count_of_one_samples_the_base(edge_k1):
 
 
 def test_family_evaluates_U_once_per_star_grid_and_metric_point(monkeypatch):
+    # U is read point by point (calls) or by the star grid's table loop (rows per loop).
     U = parse_expr("1 - s*cos(s) + sin(s)")
-    calls = []
+    calls, rows = [], []
     call = type(U).__call__
     monkeypatch.setattr(type(U), "__call__", lambda f, x: calls.append(f is U) or call(f, x))
+    table_loop = profile.table_loop
+    monkeypatch.setattr(profile, "table_loop",
+                        lambda data: lambda grid: rows.append(len(grid)) or table_loop(data)(grid))
     base = make_edge_data(U, h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1, k=1, J=(-0.8, 0.8), samples=64)
     calls.clear()
+    rows.clear()
     family = deform.deformation_family(base, h_span=0.1, m_span=0.05, nh=3, nm=3)
     assert all(mem.valid for mem in family.members)  # no bisection, which calls U again
     # The default star grid (1024 points and s = 0), then the metric sample points.
-    assert sum(calls) == 1025 + deform.METRIC_SAMPLE_COUNT
+    assert (rows, sum(calls)) == ([1025], deform.METRIC_SAMPLE_COUNT)
     calls.clear()
+    rows.clear()
     deform.deformation_family(base, h_span=0.1, m_span=0.05, nh=3, nm=3)
-    assert sum(calls) == deform.METRIC_SAMPLE_COUNT  # the base keeps its star grid
-    calls.clear()
+    assert (rows, sum(calls)) == ([], 0)  # the base keeps its star grid and metric values
     deform.isomers(base)
-    assert sum(calls) == deform.METRIC_SAMPLE_COUNT + 4 * 2  # + two helix points per variant
+    assert (rows, sum(calls)) == ([], 4 * 2)  # two helix points per variant
+
+
+def test_a_family_and_its_isomers_read_the_metric_points_once(monkeypatch):
+    # U and U' at each metric sample point, counted over a family, the isomers of
+    # its base, a second family and a sibling's family: each is read once.
+    base = make_edge_data("1 - s*cos(s) + sin(s)", h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1,
+                          k=1, J=(-0.8, 0.8))
+    points = [s for s, _ in deform._metric_sample_points(base)]
+    assert min(abs(s) for s in points) >= V_SWITCH_RADIUS  # V is U'/s^k at each
+    reads = Counter()
+    call = SmoothFn.__call__
+    monkeypatch.setattr(SmoothFn, "__call__", lambda f, x: reads.update([x]) or call(f, x))
+    family = deform.deformation_family(base, h_span=0.1, m_span=0.05, nh=3, nm=3)
+    deform.isomers(base)
+    deform.deformation_family(base, h_span=0.2, m_span=0.1, nh=2, nm=2)
+    deform.isomers(family.valid_members()[0].data)
+    assert [reads[s] for s in points] == [2] * len(points)
+    # the isomers of a base that no family has read read them once too
+    reads.clear()
+    iso = deform.isomers(base.replace(h=0.1))
+    assert [reads[s] for s in points] == [2] * len(points)
+    assert iso.metric_deviation < 1e-12
 
 
 def test_family_deviations_match_metric_deviation(edge_k1, corpus):

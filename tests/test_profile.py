@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bour_edge import profile
 from bour_edge.errors import (
     BourEdgeError,
     NegativeRadicand,
@@ -201,12 +202,16 @@ def test_check_star_counts_nan_radicand_as_failure(edge_k1):
 
 
 def test_make_edge_data_evaluates_U_once_per_star_grid_point(monkeypatch):
+    # U is read point by point (calls) or by the star grid's table loop (rows per loop).
     U = parse_expr("1 - s*cos(s) + sin(s)")
-    calls = []
+    calls, rows = [], []
     call = type(U).__call__
     monkeypatch.setattr(type(U), "__call__", lambda f, x: calls.append(f is U) or call(f, x))
+    table_loop = profile.table_loop
+    monkeypatch.setattr(profile, "table_loop",
+                        lambda data: lambda grid: rows.append(len(grid)) or table_loop(data)(grid))
     make_edge_data(U, h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1, k=1, J=(-0.8, 0.8), samples=64)
-    assert sum(calls) == 65  # 64 grid points and s = 0
+    assert (rows, sum(calls)) == ([65], 0)  # 64 grid points and s = 0, in one loop
 
 
 def test_non_positive_U_is_reported_before_a_refused_V():

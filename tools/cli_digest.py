@@ -54,6 +54,9 @@ COMMANDS = (
     ["roundtrip", "--out", "out"],
     ["build", "--out", "out", "--rows", "12", "--cols", "9"],
     ["isomers", "--out", "out", "--rows", "6", "--cols", "5"],
+    # two more mesh shapes, so one process writes faces of shapes seen before and after
+    ["build", "--out", "out", "--rows", "2", "--cols", "2"],
+    ["build", "--out", "out", "--rows", "3", "--cols", "7"],
     ["deform", "--nh", "3", "--nm", "3"],
     # a span wide enough that some members are refused
     ["deform", "--nh", "5", "--nm", "3", "--h-span", "0.9"],
