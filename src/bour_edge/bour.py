@@ -20,7 +20,9 @@ band around 0, where tiny integration ranges would otherwise cancel. A
 surface row (``psi``, ``sample_mesh``) integrates the pair (z', theta_s) in
 one pass, each component to ``tol``. The quadrature reads the rates from the
 datum's point kernel (``point_kernel``): profile_rates at a float point,
-compiled once per datum with U into one function.
+compiled once per datum with U into one function. Its code (``rate_code``)
+spells U and U' with FLOAT's guards written in, and it is also the body of
+the natural chart's loop over many points (``natural.chart_loop``).
 
 Every series at s = 0 is cut from the datum's U and V series:
 ``series_at_zero`` builds those of x, z and theta(., 0) once per datum
@@ -150,7 +152,7 @@ _WK, _U, _UP, _V = (SmoothFn(Name(name)) for name in ("wk", "u", "up", "v"))
 
 # How a point kernel spells the Bour quantities' own operations: a plain /, as
 # profile_rates divides floats, and sqrt_at's guard at w, which is called only
-# where it refuses. U's tree keeps FLOAT's.
+# where it refuses. U's and U''s trees keep FLOAT's, with the guards written in.
 _RATE_FORMS = {**FORMS, "/": "{} / {}", "sqrt": "(_msqrt({0}) if {0} > 0.0 else _root({0}, w))"}
 
 
@@ -158,33 +160,51 @@ def _tree_sqrt(f):
     return SmoothFn(Call("sqrt", f.root))
 
 
+def rate_code(data: EdgeData, outputs, finish):
+    """Code that computes profile_rates at a float point w, as (env, head, body).
+
+    ``head`` sets w^k and float(w) and cannot refuse but by overflow; ``body``
+    is to run under ``expr.guarded``. The code is ``expr.Emitter``'s: U's tree
+    on ``FLOAT``, with its guards written in (``FLOAT_FORMS``), then
+    profile_rates run on trees, in one pass that computes each shared subtree
+    once. V has two branches after one test of
+    abs(w) < V_SWITCH_RADIUS, as ``EdgeData.v_value``: inside, the datum's
+    ``v_jet`` at w, which the code calls, and U' is never evaluated; outside,
+    U'(w) / w^k, where U' shares U's subtrees. U's tree reads float(w), as
+    U(w) does. Each branch calls ``outputs(emit, x, x', z', theta_s)`` on the
+    rate trees, where ``emit(f)`` writes the lines that compute the tree f on
+    that branch and returns the name of its value; ``outputs`` returns the
+    expressions of the results, and the branch ends with the line
+    ``finish.format(<those expressions, comma-separated>)``.
+    """
+    rates = profile_rates(data, _WK, _U, _V, _tree_sqrt)
+    code = Emitter(FLOAT)
+    code.env.update(_root=root_at, _vjet=data.v_jet)
+    code.bound.update(w="w", wk="wk", u=code.emit(data.U.root, FLOAT_FORMS))
+    near, far = code.fork(), code.fork()
+    near.bound["v"] = near.bind("_vjet(w)")
+    far.bound["up"] = far.emit(data.U.prime.root, FLOAT_FORMS)
+    far.bound["v"] = far.emit((_UP / _WK).root, _RATE_FORMS)
+
+    def branch_lines(branch):
+        results = outputs(lambda f: branch.emit(f.root, _RATE_FORMS), *rates)
+        return [f"    {line}" for line in [*branch.lines, finish.format(", ".join(results))]]
+
+    head = [f"wk = w ** {code.literal(data.k)}", "x = float(w)"]
+    return code.env, head, [*code.lines, f"if abs(w) < {code.literal(V_SWITCH_RADIUS)}:",
+                            *branch_lines(near), "else:", *branch_lines(far)]
+
+
 def point_kernel(data: EdgeData):
-    """profile_rates at a float point w, as one generated function of w.
+    """profile_rates at a float point w, as one generated function of w (``rate_code``).
 
     It returns (x, x', z', theta_s) bit for bit as profile_rates does from w^k,
     U(w), V(w) and ``sqrt_at(w)``, and refuses where they refuse, with the same
-    error. The code is ``expr.Emitter``'s: U's tree on ``FLOAT``, then
-    profile_rates run on trees, in one pass that computes each shared subtree
-    once. V has two branches after one test of abs(w) < V_SWITCH_RADIUS, as
-    ``EdgeData.v_value``: inside, the datum's ``v_jet`` at w, which the kernel
-    calls, and U' is never evaluated; outside, U'(w) / w^k, where U' shares
-    U's subtrees. w^k is computed first and U's tree reads float(w), as U(w)
-    does.
+    error. w^k is computed first, outside the overflow guard, as the caller of
+    profile_rates computes it.
     """
-    rates = [f.root for f in profile_rates(data, _WK, _U, _V, _tree_sqrt)]
-    code = Emitter(FLOAT)
-    code.env.update(_root=root_at, _vjet=data.v_jet)
-    code.bound.update(w="w", wk="wk", u=code.emit(data.U.root))
-    near, far = code.fork(), code.fork()
-    near.bound["v"] = near.bind("_vjet(w)")
-    far.bound["up"] = far.emit(data.U.prime.root)
-    far.bound["v"] = far.emit((_UP / _WK).root, _RATE_FORMS)
-    near_result, far_result = (", ".join(branch.emit(root, _RATE_FORMS) for root in rates)
-                               for branch in (near, far))
-    body = [*code.lines, f"if abs(w) < {code.literal(V_SWITCH_RADIUS)}:",
-            *(f"    {line}" for line in near.lines), f"    return ({near_result})",
-            *far.lines, f"return ({far_result})"]
-    return define(code.env, "w", [f"wk = w ** {code.literal(data.k)}", "x = float(w)"], body)
+    env, head, body = rate_code(data, lambda emit, *rates: [emit(f) for f in rates], "return ({})")
+    return define(env, "w", head, body)
 
 
 def x_of_s(data: EdgeData, s):
@@ -213,7 +233,7 @@ def _integral(data: EdgeData, i, s, tol):
     if abs(s) < NEAR_ZERO_RADIUS:
         return data.series[i - 1](s)
     rates = data.point_kernel
-    return quadrature.integrate(lambda w: rates(w)[i:i + 1], 0.0, s, tol)[0][0]
+    return quadrature.integrate(quadrature.pointwise(lambda w: rates(w)[i:i + 1]), 0.0, s, tol)[0][0]
 
 
 def z_of_s(data: EdgeData, s, tol=quadrature.DEFAULT_TOL):
@@ -239,7 +259,7 @@ def _row(data: EdgeData, s, tol):
     if data.h == 0.0 or abs(s) < NEAR_ZERO_RADIUS:
         return x, z_of_s(data, s, tol), _integral(data, 3, s, tol)
     rates = data.point_kernel
-    (z, theta0), _ = quadrature.integrate(lambda w: rates(w)[2:], 0.0, s, tol)
+    (z, theta0), _ = quadrature.integrate(quadrature.pointwise(lambda w: rates(w)[2:]), 0.0, s, tol)
     return x, z, theta0
 
 

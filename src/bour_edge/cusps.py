@@ -26,7 +26,12 @@ Anything else is reported as undetermined rather than guessed.
 
 A canonical parameter s(u) is tabulated on nodes and read between them
 through the in-repo PCHIP (``pchip.Pchip``): s(u), its inverse u(s) and
-ds/du.
+ds/du. ``canonical_from_speed`` reads the speed, and any rates integrated
+with it, through quadrature integrands, which take a list of points per call
+(see ``quadrature``): a panel's 15 points, then each side's nodes, then the
+nodes of the band around u0 where the integrals come from jets.
+``canonical_parameter`` lifts a curve's pointwise speed to that shape with
+``quadrature.pointwise``.
 """
 
 from __future__ import annotations
@@ -241,11 +246,12 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512,
                          quad_tol=quadrature.DEFAULT_TOL, *, at_node=None):
     """Canonical parameter from the speed function |gamma'|.
 
-    ``rates(u)`` returns the tuple (speed, *extra): the speed, then any rates
-    whose integrals from u0 are wanted on the same nodes. ``jets`` holds
-    their jets at u0 in the same order, except that the first is the jet of
-    speed^2, which must vanish to order exactly 2k. The construction
-    integrates the speed from u0 and takes the (k+1)-st root:
+    ``rates(us)`` is a quadrature integrand (see ``quadrature``): it returns,
+    at each point of the list ``us``, the tuple (speed, *extra) of the speed
+    and any rates whose integrals from u0 are wanted on the same nodes.
+    ``jets`` holds their jets at u0 in the same order, except that the first
+    is the jet of speed^2, which must vanish to order exactly 2k. The
+    construction integrates the speed from u0 and takes the (k+1)-st root:
 
         s(u) = sign(u - u0) ((k+1) |int_u0^u speed|)^(1/(k+1)).
 
@@ -253,9 +259,11 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512,
     quadrature, to ``quad_tol``, loses digits there); outside it, one
     cumulative quadrature per side integrates all the rates together, from
     the band edge outward, and the two branches are stitched at the edge.
-    Each node is read by one call of ``at_node(u)``, which returns
-    (speed, *values); the values are kept in ``node_values``, and the speed
-    at every node outside the band. By default ``at_node`` is ``rates``.
+    The nodes are read by ``at_node(us)``, which returns (speed, *values) at
+    each point of ``us``, in three calls: each side's nodes after its
+    quadrature, then the band's. The values are kept in ``node_values``, and
+    the speed at every node outside the band. By default ``at_node`` is
+    ``rates``.
     """
     import numpy as np
 
@@ -292,13 +300,11 @@ def canonical_from_speed(rates, jets, u0, k, interval, n_samples=512,
         cumulative = quadrature.integrate_cumulative(rates, [edge] + nodes, quad_tol)[1:]
         a_edge = abs(a_jet(edge))
         extra_edge = [j(edge) for j in extra_integral_jets]
-        for u, a in zip(nodes, cumulative):
-            speed, *values = at_node(u)
+        for u, a, (speed, *values) in zip(nodes, cumulative, at_node(nodes)):
             entries.append((u, a_edge + abs(a[0]), False, speed,
                             [e + v for e, v in zip(extra_edge, a[1:])], tuple(values)))
-    for u in np.linspace(u0 - band, u0 + band, 65):
-        u = float(u)
-        _, *values = at_node(u)
+    band_nodes = [float(u) for u in np.linspace(u0 - band, u0 + band, 65)]
+    for u, (_, *values) in zip(band_nodes, at_node(band_nodes)):
         entries.append((u, abs(a_jet(u)), True, abs(signed_speed_jet(u)),
                         [j(u) for j in extra_integral_jets], tuple(values)))
     entries.sort(key=lambda e: e[0])
@@ -358,7 +364,7 @@ def canonical_parameter(curve, u0, k, interval, n_samples=512, tol=DEFAULT_TOL):
 
     djets = [j.differentiate() for j in jets]
     speed_sq_jet = sum(dj * dj for dj in djets)
-    return canonical_from_speed(speed, (speed_sq_jet,), u0, k, interval, n_samples)
+    return canonical_from_speed(quadrature.pointwise(speed), (speed_sq_jet,), u0, k, interval, n_samples)
 
 
 # Decisive derivative orders of U for each edge family, in test order.

@@ -24,9 +24,10 @@ once here, so floats and jets accept and refuse the same points. A
 ``SmoothFn`` compiles its tree once per backend, on first use:
 ``SmoothFn.__call__`` runs the float function and ``jets.jet_eval`` the jet
 one. ``Emitter`` and ``define`` are the generator itself, which
-``bour.point_kernel`` and ``profile.table_loop`` also drive to compile
-several trees that share subtrees into one function. ``FLOAT_FORMS`` spells
-FLOAT's guards into the code, so a value they accept costs no Python call.
+``bour.point_kernel``, ``natural.chart_loop`` and ``profile.table_loop``
+also drive to compile several trees that share subtrees into one function.
+``FLOAT_FORMS`` spells FLOAT's guards into the code, so a value they accept
+costs no Python call.
 
 ``compile_rows`` drives them to compile a Python formula, run once on
 ``Name`` leaves, into one loop over rows of floats: what reads only its
@@ -353,7 +354,9 @@ class Emitter:
         self.lifts = ops.const is not None
         self.literals = {}
         self.temps = {}  # right-hand side -> the temporary that holds it
-        self.names = {}  # id of an emitted node -> the name that holds its value
+        # id of an emitted node -> (the node, the name that holds its value); the node
+        # is kept so that its id cannot pass to a tree built later
+        self.names = {}
         self.bound = {}
         self.lines = []
 
@@ -381,7 +384,7 @@ class Emitter:
         """The name of ``node``'s value; its operations are spelled as ``forms`` says."""
         key = id(node)
         if key in self.names:
-            return self.names[key]
+            return self.names[key][1]
         kind = type(node)
         if kind is BinOp:
             a, b = self.emit(node.left, forms), self.emit(node.right, forms)
@@ -404,18 +407,21 @@ class Emitter:
             name = self.bind(forms["neg"].format(self.emit(node.arg, forms)))
         else:
             raise TypeError(f"unknown node {node!r}")
-        self.names[key] = name
+        self.names[key] = node, name
         return name
+
+
+def guarded(lines):
+    """``lines`` with overflow raised as a DomainError, in the namespace of an ``Emitter``."""
+    return ["try:", *(f"    {line}" for line in lines), "except OverflowError as exc:",
+            "    raise _DomainError(f'overflow in expression evaluation ({exc})') from exc"]
 
 
 def define(env, param, head, body):
     """``compiled(param)`` in the namespace ``env``: the lines ``head``, then ``body``
-    with overflow raised as a DomainError (no ``body``, no guard). The source is kept
-    as ``.source``."""
-    guarded = ["try:", *(f"    {line}" for line in body), "except OverflowError as exc:",
-               "    raise _DomainError(f'overflow in expression evaluation ({exc})') from exc"]
+    ``guarded`` (no ``body``, no guard). The source is kept as ``.source``."""
     source = "\n".join([f"def compiled({param}):",
-                         *(f"    {line}" for line in [*head, *(guarded if body else ())])])
+                         *(f"    {line}" for line in [*head, *(guarded(body) if body else ())])])
     exec(compile(source, "<expression>", "exec"), env)
     compiled = env["compiled"]
     compiled.source = source

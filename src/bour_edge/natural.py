@@ -16,12 +16,14 @@ in which the metric is s^(2k) ds^2 + U(s)^2 dt^2:
 
 The shear phi(u) and U(s) are tabulated on the canonical parameter's nodes
 and read between them through the in-repo PCHIP (``pchip.Pchip``), as the
-canonical parameter is. The sheared speed and phi' are integrated together,
-in one pass of tuple-valued quadrature over those nodes, from one
-``profile.rates`` call per quadrature point; near u0 both integrals come
-from jets, so phi(u0) = 0 exactly. Each node is read by one more
-``profile.rates`` call: ``roundtrip``'s metric check reads the speed stored
-at each node, and the U table the x that the same call returned.
+canonical parameter is. Everything the chart reads at a point is the triple
+(speed, phi', x), read for a whole list of points at once: the 15 points of
+a quadrature panel, which integrates the sheared speed and phi' together in
+one pass over the canonical parameter's nodes, then each side's nodes, whose
+speed ``roundtrip``'s metric check reads and whose x makes the U table, then
+the band around u0 where both integrals come from jets, so phi(u0) = 0
+exactly. A Bour profile reads them through one loop generated for its datum
+(``chart_loop``); any other profile through one ``rates`` call per point.
 
 ``roundtrip`` drives this pipeline on a profile read back from a Bour datum
 and compares the recovered metric function with the original U.
@@ -31,21 +33,24 @@ A profile is any object with the pitch ``h``, the parameter ``interval``
 ``jets(u0, order) -> (x jet, z jet)``. ``HelicoidalInput`` gives these
 from two expressions. ``BourProfile`` reads a datum (h and J are the
 datum's), and ``ReparamProfile`` re-reads a profile in a chart's s on the
-chart's s-range; these two give jets at 0 only. The speed and the shear rate
-read each point once, with one call, as the genericity check does, so a Bour
-profile evaluates its datum's point kernel (bour.profile_rates) once per point.
+chart's s-range; these two give jets at 0 only. ``BourProfile.rates`` reads
+the datum's point kernel (``bour.point_kernel``); the chart reads its own
+loop instead, unless a subclass overrides ``rates``, whose override the chart
+then calls at each point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import quadrature
+from .bour import rate_code
 from .cusps import CanonicalParameter, canonical_from_speed
-from .expr import SmoothFn
+from .expr import SmoothFn, define, guarded
 from .jets import Jet, jet_compose, jet_eval, jet_sqrt, require_order
 from .pchip import Pchip
 from .profile import EdgeData
@@ -82,16 +87,22 @@ class BourProfile:
 
     x is closed form and z needs a quadrature, but rates come from one call of
     the datum's point kernel per point, and jets at 0 from the datum's series.
+    The chart reads (speed, phi', x) at many points through ``chart_loop``,
+    generated on first use; neither is built before it is read.
     """
 
     def __init__(self, data: EdgeData):
         self.data = data
         self.h = data.h
         self.interval = data.J
-        self.kernel = data.point_kernel
 
     def rates(self, s):
-        return self.kernel(s)[:3]
+        return self.data.point_kernel(s)[:3]
+
+    @cached_property
+    def chart_loop(self):
+        """The datum's ``chart_loop``."""
+        return chart_loop(self.data)
 
     def jets(self, u0, order):
         if u0 != 0.0:
@@ -153,8 +164,40 @@ def _sheared_speed_sq(x, xd, zd, h):
 
 
 def _shear_rate(x, zd, h):
-    """phi' = h zdot / (x^2 + h^2); floats or jets."""
+    """phi' = h zdot / (x^2 + h^2); floats, jets or trees."""
     return h * zd / (x * x + h * h)
+
+
+def _chart_values(profile, u):
+    """(speed, phi', x) at u from one call of the profile's rates."""
+    x, xd, zd = profile.rates(u)
+    h = profile.h
+    return math.sqrt(_sheared_speed_sq(x, xd, zd, h)), _shear_rate(x, zd, h), x
+
+
+def chart_loop(data: EdgeData):
+    """``_chart_values`` of the datum's ``BourProfile`` at each point of a list, as one
+    loop generated for the datum.
+
+    ``loop(us)`` returns the list of (speed, phi', x), bit for bit, and refuses
+    at the first point where the pointwise path refuses, with the same error.
+    Each point runs ``bour.rate_code``: x, x' and z' in the point kernel's
+    order, then the sheared speed and phi' on trees (theta_s is not read), so
+    the point kernel's subtrees are computed once; the speed's square root is
+    math's, as ``_chart_values`` takes it. w^k stays outside the overflow
+    guard, as in the point kernel.
+    """
+    h = data.h
+
+    def outputs(emit, x, xd, zd, _):
+        speed_sq, phi_rate = _sheared_speed_sq(x, xd, zd, h), _shear_rate(x, zd, h)
+        for f in (x, xd, zd):  # in the point kernel's order, so a refusal comes where it did
+            emit(f)
+        return f"_msqrt({emit(speed_sq)})", emit(phi_rate), emit(x)
+
+    env, head, body = rate_code(data, outputs, "out.append(({},))")
+    return define(env, "us", ["out = []", "for w in us:",
+                              *(f"    {line}" for line in [*head, *guarded(body)]), "return out"], ())
 
 
 def singular_set(profile, n_samples=DEFAULT_SAMPLES):
@@ -258,8 +301,9 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION,
 
     The canonical parameter integrates the sheared speed and the shear rate
     phi' in one pass over its nodes (``canonical_from_speed``), so each
-    quadrature point's rates are read once. phi is tabulated on those nodes;
-    near u0 it comes from its jet, which makes phi(u0) = 0 exact.
+    quadrature point is read once, and each node once more. phi is tabulated
+    on those nodes; near u0 it comes from its jet, which makes phi(u0) = 0
+    exact.
     """
     report = check_generic(profile, u0, k)
     if not report.ok:
@@ -275,13 +319,16 @@ def natural_coordinates(profile, u0, k, n_tab=DEFAULT_TABULATION,
     xdj, zdj = xj.differentiate(), zj.differentiate()
     jets = (_sheared_speed_sq(xj, xdj, zdj, h), _shear_rate(xj, zdj, h))
 
-    def rates(u):
-        x, xd, zd = profile.rates(u)
-        return math.sqrt(_sheared_speed_sq(x, xd, zd, h)), _shear_rate(x, zd, h)
+    if type(profile).rates is BourProfile.rates:
+        read = profile.chart_loop
+    else:
+        read = quadrature.pointwise(partial(_chart_values, profile))
 
-    def at_node(u):
-        x, xd, zd = profile.rates(u)
-        return math.sqrt(_sheared_speed_sq(x, xd, zd, h)), x
+    def rates(us):
+        return [(speed, phi_rate) for speed, phi_rate, _ in read(us)]
+
+    def at_node(us):
+        return [(speed, x) for speed, _, x in read(us)]
 
     canonical = canonical_from_speed(rates, jets, u0, k, profile.interval, n_tab, quad_tol,
                                      at_node=at_node)

@@ -1,20 +1,26 @@
 """Adaptive Gauss-Kronrod 7-15 quadrature of tuple-valued integrands.
 
-An integrand returns a tuple of floats, as vector-valued adaptive cubature
-allows (Berntsen, Espelid & Genz, DCUHRE, ACM TOMS 17, 1991): all components
-share the 15 evaluations of each panel and one subdivision. Panels are split
-largest-error-first until every component's summed error estimate is below
-the requested absolute tolerance (``DEFAULT_TOL`` unless given). Each
-component's panel sums run in the order of the one-function rule, so a
-one-component tuple gives a scalar Gauss-Kronrod pass's bits. All integrands
-in this package are smooth, so the scheme converges in a handful of panels;
-the budget of ``MAX_SUBDIVISIONS`` panels exists to fail loudly instead of
-spinning. The package reads several integrals of one point's rates this
-way: the canonical speed with the shear phi', and z with theta(s, 0).
+The rule is QUADPACK's (Piessens et al., 1983). An integrand reads a whole
+panel at once: ``f(xs)`` returns a list with one tuple of floats per point
+of ``xs``, as vector-valued adaptive cubature allows (Berntsen, Espelid &
+Genz, DCUHRE, ACM TOMS 17, 1991). All components share the 15 points of
+each panel and one subdivision, and ``pointwise`` lifts a function of one
+point to this shape. Panels are split largest-error-first until every
+component's summed error estimate is below the requested absolute tolerance
+(``DEFAULT_TOL`` unless given); a first panel that already meets it is the
+result. Each component's panel sums run in the order of the one-function
+rule, so a one-component tuple gives a scalar Gauss-Kronrod pass's bits. All
+integrands in this package are smooth, so the scheme converges in a handful
+of panels; the budget of ``MAX_SUBDIVISIONS`` panels exists to fail loudly
+instead of spinning. The package reads several integrals of one point's
+rates this way: the canonical speed with the shear phi' (one generated loop
+over a panel's points for a Bour datum, ``natural.chart_loop``), and z with
+theta(s, 0).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 
@@ -51,32 +57,39 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# The weights by name, for _panel's sums written out term by term.
+_WGK0, _WGK1, _WGK2, _WGK3, _WGK4, _WGK5, _WGK6, _WGK7 = _WGK
+_WG0, _WG1, _WG2, _WG3 = _WG
+
+
+def pointwise(f):
+    """The integrand that reads each point of a panel by one call of ``f(x) -> tuple``."""
+    @functools.wraps(f)
+    def batched(xs):
+        return [f(x) for x in xs]
+    return batched
 
 
 def _panel(f, a, b):
     """K15 estimates and error estimates on [a, b], one of each per component of f.
 
-    Every component is computed from the same 15 evaluations, in the order of
-    the scalar rule, so each one gets that rule's bits.
+    f reads the 15 points in one call: the midpoint, then mid - dx and
+    mid + dx for each abscissa, outermost first. Every component's sums run
+    in the order of the scalar rule's loop, so each one gets that rule's bits.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    ys = [f(mid)]
+    xs = [mid]
     for x in _XGK[:7]:
         dx = half * x
-        ys.append(f(mid - dx))
-        ys.append(f(mid + dx))
+        xs.append(mid - dx)
+        xs.append(mid + dx)
     values, errors = [], []
-    for col in zip(*ys):
-        result_g = _WG[3] * col[0]
-        result_k = _WGK[7] * col[0]
-        for i in range(7):
-            s = col[2 * i + 1] + col[2 * i + 2]
-            result_k += _WGK[i] * s
-            if i % 2 == 1:
-                result_g += _WG[i // 2] * s
-        result_g *= half
-        result_k *= half
+    for c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 in zip(*f(xs)):
+        s1, s3, s5 = c3 + c4, c7 + c8, c11 + c12
+        result_g = (_WG3 * c0 + _WG0 * s1 + _WG1 * s3 + _WG2 * s5) * half
+        result_k = (_WGK7 * c0 + _WGK0 * (c1 + c2) + _WGK1 * s1 + _WGK2 * (c5 + c6) + _WGK3 * s3
+                    + _WGK4 * (c9 + c10) + _WGK5 * s5 + _WGK6 * (c13 + c14)) * half
         diff = abs(result_k - result_g)
         values.append(result_k)
         errors.append(diff if diff >= 1.25e-7 else (200.0 * diff) ** 1.5)
@@ -91,20 +104,24 @@ def _check_tol(tol):
 def integrate(f, a, b, tol=DEFAULT_TOL):
     """Integral over [a, b] of the tuple-valued f to absolute tolerance ``tol``.
 
+    f reads each panel's points in one call (see the module docstring).
     Returns (values, error_estimates), two tuples with one entry per
     component, all from one subdivision: each component must reach ``tol``
     on its own, and the panel split next is the one holding the largest
-    component error. The orientation of [a, b] is honored (a > b yields the
-    negated integral). ``tol`` must be positive and finite.
+    component error; a first panel whose components all reach ``tol`` is
+    returned as it is. The orientation of [a, b] is honored (a > b yields
+    the negated integral). ``tol`` must be positive and finite.
     """
     _check_tol(tol)
     if a == b:
-        zero = (0.0,) * len(f(a))  # f is read only for its shape
+        zero = (0.0,) * len(f([a])[0])  # f is read only for its shape
         return zero, zero
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
     values, errors = _panel(f, a, b)
+    if not any(e > tol for e in errors):
+        return tuple(sign * v for v in values), tuple(errors)
     heap = [(-max(errors), a, b, values, errors)]
     total_val = values
     total_err = errors
@@ -133,7 +150,7 @@ def integrate_cumulative(f, nodes, tol=DEFAULT_TOL):
     proportional to its length, and the segments are prefix-summed.
     """
     if len(nodes) < 2:
-        return [(0.0,) * len(f(a)) for a in nodes]  # f is read only for its shape
+        return [(0.0,) * len(f([a])[0]) for a in nodes]  # f is read only for its shape
     total_len = abs(nodes[-1] - nodes[0])
     out = []
     for a, b in zip(nodes[:-1], nodes[1:]):

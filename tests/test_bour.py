@@ -94,12 +94,13 @@ def test_near_zero_branch_agrees_with_quadrature(edge_k1):
     z_rate, theta_rate = z_integrand(d), theta_integrand(d)
     for s in (2e-5, -7e-5, 9.9e-5):
         jet_value = bour.z_of_s(d, s)
-        (z_quad,), _ = quadrature.integrate(lambda w: (z_rate(w),), 0.0, s, 1e-14)
+        (z_quad,), _ = quadrature.integrate(quadrature.pointwise(lambda w: (z_rate(w),)), 0.0, s, 1e-14)
         quad_value = d.eps2 * d.m * z_quad
         assert jet_value == pytest.approx(quad_value, abs=1e-14)
         # theta(s, 0) = -eps2 h / m times the raw integral; compared unscaled
         jet_theta = bour.theta(d, s, 0.0, 1e-13) * d.m / (-d.eps2 * d.h)
-        (quad_theta,), _ = quadrature.integrate(lambda w: (theta_rate(w),), 0.0, s, 1e-15)
+        (quad_theta,), _ = quadrature.integrate(quadrature.pointwise(lambda w: (theta_rate(w),)), 0.0, s,
+                                                1e-15)
         assert jet_theta == pytest.approx(quad_theta, abs=1e-14)
 
 

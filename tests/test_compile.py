@@ -11,7 +11,7 @@ from tree_walk import walk_eval
 
 from bour_edge import bour, natural
 from bour_edge.errors import ExprSyntaxError
-from bour_edge.expr import FLOAT, MAX_DEPTH, differentiate, parse_expr
+from bour_edge.expr import FLOAT, MAX_DEPTH, BinOp, Const, Emitter, Var, define, differentiate, parse_expr
 from bour_edge.jets import JET, jet_eval, variable_jet
 
 
@@ -212,3 +212,13 @@ def test_compiled_squaring_chain_is_linear_in_its_height():
     f = _squared(40)
     assert f(1.0) == 1.0
     assert f.prime(1.0) == 2.0**40
+
+
+def test_an_emitter_keeps_the_trees_it_has_named():
+    # The Emitter knows a node by its id; a tree dropped after it was emitted must
+    # not lend its id, and so its name, to a tree built later.
+    code = Emitter(FLOAT)
+    names = [code.emit(BinOp("+", Var(), Const(float(i)))) for i in range(64)]
+    assert len(set(names)) == 64
+    f = define(code.env, "x", (), [*code.lines, f"return ({', '.join(names)},)"])
+    assert f(0.5) == tuple(0.5 + i for i in range(64))

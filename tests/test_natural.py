@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -140,9 +141,9 @@ def test_phi_table_matches_direct_quadrature():
         x, _, zd = profile.rates(u)
         return inp.h * zd / (x**2 + inp.h**2)
 
-    from bour_edge.quadrature import integrate
+    from bour_edge.quadrature import integrate, pointwise
     for u, phi in zip(chart.phi_nodes[::16], chart.phi_table[::16]):
-        (expected,), _ = integrate(lambda w: (integrand(w),), 0.0, float(u), 1e-13)
+        (expected,), _ = integrate(pointwise(lambda w: (integrand(w),)), 0.0, float(u), 1e-13)
         assert float(phi) == pytest.approx(expected, abs=1e-9)
     # the interpolant derivative tracks the closed-form shear rate coarsely
     dphi = chart.phi_of_u.derivative()
@@ -297,6 +298,111 @@ def test_chart_tables_and_report_keep_their_bytes(request, fixture_name):
     assert {k: v.hex() for k, v in report.to_dict().items()} == want["report"]
 
 
+# phi, the canonical speed and the x read at each chart node, by float.hex, as
+# computed at 5c26e59, where each node and each quadrature point was read by a
+# call of the point kernel and the sheared speed and phi' were formed from its
+# rates in Python. The chart loop must keep these bytes. edge_k1 and edge_k2
+# use the default n_tab and keep a sample at _CHART_INDICES; every datum keeps
+# the SHA-256 of each whole table, its float.hex values joined by spaces.
+_CHART_NODE_SAMPLES = {
+    "edge_k1": {
+        "phi": (
+            "-0x1.000463ae9a4d6p-4 -0x1.7673787e3cd05p-5 -0x1.0380f9ee39257p-5 -0x1.4b5437c679372p-6 "
+            "-0x1.7196e3cd173a9p-7 -0x1.3f73e1204720ep-8 -0x1.1e0e10b81e93ep-10 "
+            "-0x1.4f9d38fed9394p-24 -0x1.15653a3126000p-27 -0x1.9cb01b45a03abp-13 "
+            "-0x1.53ce6c917f14dp-9 -0x1.f0edc9bfd7075p-8 -0x1.e62999f4870a2p-7 -0x1.861afeb68153cp-6 "
+            "-0x1.14bd5ff0012a3p-5 -0x1.67ff96565173fp-5 -0x1.9147a31c19ef2p-5"),
+        "speed": (
+            "0x1.999999999999cp-1 0x1.5e2af7c4915e2p-1 0x1.22bc55ef8922cp-1 0x1.ce9b683501ceap-2 "
+            "0x1.57be248af157cp-2 0x1.c1c1c1c1c1c1dp-3 0x1.a80e74db41a82p-4 0x1.cac083126e979p-11 "
+            "0x1.26e978d4fdf3cp-12 0x1.67ce349b0167ep-5 0x1.47ae147ae147ap-3 0x1.1ab44de7811acp-2 "
+            "0x1.919191919191ap-2 0x1.04376a9dd1045p-1 0x1.3fa60c72d93fbp-1 0x1.7b14ae47e17b2p-1 "
+            "0x1.9999999999999p-1"),
+        "x": (
+            "0x1.a1b7710d71859p-1 0x1.c05ebaece9adap-1 0x1.d6bd0792f9828p-1 0x1.e5e9190d6b471p-1 "
+            "0x1.ef2389b4f2f57p-1 0x1.f3d1c530b9fe7p-1 0x1.f57660f8e488cp-1 0x1.f5a7cecbc1558p-1 "
+            "0x1.f5a7cecdc7298p-1 0x1.f5ab95d6da775p-1 0x1.f65dfb92ce50cp-1 0x1.f94adc406212bp-1 "
+            "0x1.fffedd824fde0p-1 0x1.05f588612f669p+0 0x1.0f2cebc0d5ab8p+0 0x1.1c3278d30df24p+0 "
+            "0x1.2482aff73c736p+0"),
+    },
+    "edge_k2": {
+        "phi": (
+            "0x1.33cc32adba66ep-7 0x1.99f6697d0f968p-8 0x1.ecb9df52553b0p-9 0x1.012f88ca2256fp-9 "
+            "0x1.b0d62d7f5d2c3p-11 0x1.ecc87758d1881p-13 0x1.a0c849b6e6187p-16 0x1.8ad34954e2e67p-36 "
+            "-0x1.a392ee84761f2p-41 -0x1.fe3a502d1638fp-20 -0x1.7f40acee1c9edp-14 "
+            "-0x1.e61f42f8c0c10p-12 -0x1.553f0ea57e1f4p-10 -0x1.68603396ae131p-9 "
+            "-0x1.404d41163b0f5p-8 -0x1.f94076d3bfa57p-8 -0x1.33cc32adba66ep-7"),
+        "speed": (
+            "0x1.f5c28f5c28f5bp-2 0x1.6eb709999a3ebp-2 0x1.f99855cb93464p-3 0x1.4003e6816e468p-3 "
+            "0x1.61618aa98afbdp-4 0x1.2e7bc91663b10p-5 0x1.0ce6d53e891b6p-7 0x1.9b0ab2e1693c1p-21 "
+            "0x1.53bd1676640a8p-24 0x1.832dce312371cp-10 0x1.41205bc01a36dp-6 0x1.de0c25c481f79p-5 "
+            "0x1.e246ab0f73d81p-4 0x1.9504efbbcf915p-3 0x1.3193ec06b0b6cp-2 0x1.adc6073e37c06p-2 "
+            "0x1.f5c28f5c28f5bp-2"),
+        "x": (
+            "0x1.0d54c36c47de4p+0 0x1.06a41cf0944cep+0 0x1.0287b8957319bp+0 0x1.0042993a289c3p+0 "
+            "0x1.fe61c7bbd910ep-1 0x1.fd9bb5d6fb2bbp-1 0x1.fd713588e6389p-1 0x1.fd6efe4c9bdd4p-1 "
+            "0x1.fd6efe4c9b8b5p-1 0x1.fd6f10b00b932p-1 0x1.fd7b9e0d44612p-1 0x1.fdde6a830f5ccp-1 "
+            "0x1.ff319ae96d969p-1 0x1.012d6e7c9ad90p+0 0x1.0441a4e181b72p+0 0x1.09865784c3a6dp+0 "
+            "0x1.0d54c36c47de4p+0"),
+    },
+}
+_CHART_NODE_SHA256 = {
+    "edge_k1": {
+        "phi": "943de88cf67ef0e781aafb79256bf7c7877b5ec8f26fb0fe876bd0a6ca394fe4",
+        "speed": "d57f1fe1508d346a5270326615c2952ff97edb3e29a0cef280830089ceb4e266",
+        "x": "0d946f6abb3c96b08cc7a63de0ecafc7180f0cd53b68c2d897940dd2b4648d1b",
+    },
+    "edge_k2": {
+        "phi": "0655cda42fb2722611d0d0a860ca7a6d500a41dc2de87480a4535f1e9efca6a4",
+        "speed": "c7a00414b467bc1c33c235139cb9b8f4b90e01e2ca97875550050d004b9e01b2",
+        "x": "02c93ce7fde4fdeeb31744e264ed29f89be3c086c5d5383d09c7d1da18390fc7",
+    },
+    "high_k3": {
+        "phi": "d64d7c9c6c069115e7317205203466fc5b9a1115dd9e1c661d7738d2fc9870ba",
+        "speed": "b948b2a76ef8f002804ba2b9a0934d931c623f5c917f382b28bb4941beed5c93",
+        "x": "48400c7dbeba1021d3f55505baec18f2f71a94c81926e76093e2cc5eed9ac126",
+    },
+    "high_k4": {
+        "phi": "36ec39387e8454c9ce1aab725632dfc3bc1ff73a92ebd1b37c26af19870467bd",
+        "speed": "b30fb97fd3f85f535069ddbc408aee7cb922313aff3408804473449dd7b43a70",
+        "x": "0a49c6e8b6252edb8306653e6a2b30b9d7525001bcf736321ac20b970e01b474",
+    },
+    "high_k5": {
+        "phi": "7913f4c9404031452133b1e698ca2543dddbe6d54f6b7b9bdd6637e928af392e",
+        "speed": "0ce40ea833c75e7b23ff9d2735fb9ab3bfe67a2c104251f0a35a8910c36df157",
+        "x": "71a6438af7bebed4f995ee977a2edba562b585f73fe320133d27e5b428132f5c",
+    },
+    "high_k6": {
+        "phi": "a4b1ecdb4b80abb8940249918a6b4e242c86e0fd3e7d161b8c7b1594665f857c",
+        "speed": "f95e6a6e0f2e86300f067b89391cbfd823d1261336e3b1365c03db944022ce6c",
+        "x": "6bdf29f3f37864b23445e9b381cf3e476dfd514c5702b22cd1df1feb993c5c0f",
+    },
+    "high_k7": {
+        "phi": "46050679d06571b36335aafdabec82188e5c10dd14eded9568685d094d5bbf61",
+        "speed": "ca5b14428a4df27994d28c1b1422b53e76ff2fbf52998f17f62080bbebb9cb53",
+        "x": "380be42372180eed3c2074063d8660e71e0a3a2a2b27705ea7c21e0e21f35b9e",
+    },
+}
+
+
+def _node_tables(chart):
+    return {"phi": chart.phi_table.tolist(), "speed": chart.canonical.speed_table.tolist(),
+            "x": [values[0] for values in chart.canonical.node_values]}
+
+
+@pytest.mark.parametrize("name", ["edge_k1", "edge_k2", *(f"high_k{k}" for k in range(3, 8))])
+def test_chart_node_tables_keep_their_bytes(request, high_k_data, name):
+    if name.startswith("high_k"):
+        chart = natural.roundtrip(high_k_data[int(name[6:])], n_tab=384).chart
+    else:
+        chart = natural.roundtrip(request.getfixturevalue(name)).chart
+    for table, values in _node_tables(chart).items():
+        hexes = [float(v).hex() for v in values]
+        assert hashlib.sha256(" ".join(hexes).encode()).hexdigest() == _CHART_NODE_SHA256[name][table]
+        if name in _CHART_NODE_SAMPLES:
+            assert [hexes[i] for i in _CHART_INDICES] == _CHART_NODE_SAMPLES[name][table].split()
+
+
 @pytest.mark.parametrize("fixture_name", ["edge_k1", "edge_k2"])
 def test_roundtrip_report_fields_are_plain_floats(request, fixture_name):
     # sup_error_metric was an np.float64 on edge_k2 at 6dda1d8
@@ -318,10 +424,10 @@ def test_phi_is_anchored_at_the_singular_point(request, fixture_name):
         x, _, zd = profile.rates(u)
         return d.h * zd / (x**2 + d.h**2)
 
-    from bour_edge.quadrature import integrate
+    from bour_edge.quadrature import integrate, pointwise
     near = [i for i, u in enumerate(chart.u_table) if 0.0 < abs(u) <= 1e-3]
     for i in near[::8] + list(range(0, len(chart.u_table), 16)):
-        (expected,), _ = integrate(lambda w: (integrand(w),), 0.0, float(chart.u_table[i]), 1e-14)
+        (expected,), _ = integrate(pointwise(lambda w: (integrand(w),)), 0.0, float(chart.u_table[i]), 1e-14)
         assert float(chart.phi_table[i]) == pytest.approx(expected, abs=1e-11)
 
 
@@ -338,6 +444,26 @@ def test_chart_speed_table_is_the_sheared_speed(edge_k1):
 
 
 def test_natural_coordinates_read_each_node_once(edge_k1):
+    # The chart loop reads every quadrature panel's 15 points in one call, then
+    # each side's nodes in one call, then the band's 65. 11,872 rates calls at
+    # 6dda1d8, which integrated phi' and the speed in two passes on two node sets,
+    # 6,112 with one pass for both; each point was one call then.
+    profile = natural.BourProfile(edge_k1)
+    loop = profile.chart_loop
+    reads = []
+    profile.chart_loop = lambda us: reads.append(len(us)) or loop(us)
+    chart = natural.natural_coordinates(profile, 0.0, 1, n_tab=384)
+    node_reads = [i for i, n in enumerate(reads) if n != 15]
+    assert len(node_reads) == 3 and node_reads[-1] == len(reads) - 1 and reads[-1] == 65
+    side_nodes = reads[node_reads[0]] + reads[node_reads[1]]
+    assert side_nodes + 65 == len(chart.u_table)
+    assert len(reads) - 3 >= side_nodes  # a panel or more per segment between nodes
+    assert 6000 < sum(reads) <= 6500  # 6,177: one panel per segment
+
+
+def test_a_profile_that_overrides_rates_is_read_through_them(edge_k1):
+    # The chart loop stands in for BourProfile.rates only; an override is called
+    # at every point, and gives the loop's chart, since the two agree bit for bit.
     class Counted(natural.BourProfile):
         calls = 0
 
@@ -345,7 +471,17 @@ def test_natural_coordinates_read_each_node_once(edge_k1):
             Counted.calls += 1
             return super().rates(s)
 
-    natural.natural_coordinates(Counted(edge_k1), 0.0, 1, n_tab=384)
-    # 11,872 calls at 6dda1d8, which integrated phi' and the speed in two
-    # passes on two node sets; 6,112 with one pass for both.
-    assert Counted.calls <= 6500
+    profile = Counted(edge_k1)
+    chart = natural.natural_coordinates(profile, 0.0, 1, n_tab=384)
+    assert "chart_loop" not in vars(profile)  # never built
+    loop_chart = natural.natural_coordinates(natural.BourProfile(edge_k1), 0.0, 1, n_tab=384)
+    assert 0 < Counted.calls <= 6500
+    assert chart.to_dict() == loop_chart.to_dict()
+    assert chart.canonical.speed_table.tolist() == loop_chart.canonical.speed_table.tolist()
+
+
+def test_the_roundtrip_never_builds_the_point_kernel():
+    d = make_edge_data("1 - s*cos(s) + sin(s)", h=0.2, m=1.0, eps0=1, eps1=1, eps2=-1,
+                       k=1, J=(-0.8, 0.8))
+    natural.roundtrip(d, n_tab=128)
+    assert d._point_kernel is None

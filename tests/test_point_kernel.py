@@ -51,6 +51,27 @@ def test_the_kernel_is_the_composition_it_replaced(corpus, ladder_data, high_k_d
     assert kinds["value"] > 10_000 and kinds["error"] > 1_000
 
 
+def test_the_chart_loop_is_the_pointwise_chart_path(corpus, ladder_data, high_k_data, digest_data):
+    # natural.chart_loop against (speed, phi', x) formed from the point kernel's
+    # rates one point at a time, as the chart read them before the loop: the
+    # same bits, and the same first refusal, with its type, message, location
+    # and value, whether the loop is given one point or many.
+    data = [*corpus, *ladder_data, *high_k_data.values(), *digest_data.values()]
+    kinds = {"value": 0, "error": 0}
+    for d in data:
+        loop, profile = natural.chart_loop(d), natural.BourProfile(d)
+        points = _points(d.J)
+        for w in points:
+            expected = _outcome(lambda: natural._chart_values(profile, w))
+            assert _outcome(lambda: loop([w])[0]) == expected, (d.U.source_text, d.k, w)
+            kinds[expected[0]] += 1
+        inside = np.linspace(*d.J, 401).tolist()
+        for batch in (inside, points, points[::-1], inside + [math.nan] + inside):
+            expected = _outcome(lambda: [v for w in batch for v in natural._chart_values(profile, w)])
+            assert _outcome(lambda: [v for row in loop(batch) for v in row]) == expected
+    assert kinds["value"] > 10_000 and kinds["error"] > 1_000
+
+
 def test_the_near_branch_never_evaluates_u_prime():
     # U' divides by 2 sqrt((s - 1e-4)^2), which is 0 at s = 1e-4; U does not.
     d = make_edge_data("1 + 1e-10*s^2*sqrt((s - 0.0001)^2)", h=0.1, m=1.0,

@@ -1,10 +1,11 @@
+import heapq
 import math
 
 import pytest
 
 from bour_edge import quadrature
 from bour_edge.errors import QuadratureFailure
-from bour_edge.quadrature import _panel, integrate, integrate_cumulative
+from bour_edge.quadrature import _XGK, _panel, integrate, integrate_cumulative, pointwise
 
 
 def simpson(f, a, b, panels=4096):
@@ -18,13 +19,13 @@ def simpson(f, a, b, panels=4096):
 
 def one(f):
     """f as a one-component integrand."""
-    return lambda x: (f(x),)
+    return pointwise(lambda x: (f(x),))
 
 
 def test_kronrod_polynomial_exactness():
     # the 15-point Kronrod rule integrates degree <= 22 exactly
     for deg in (7, 13, 22):
-        (value,), _ = _panel(lambda x, d=deg: (x**d,), 0.0, 1.0)
+        (value,), _ = _panel(pointwise(lambda x, d=deg: (x**d,)), 0.0, 1.0)
         assert value == pytest.approx(1.0 / (deg + 1), abs=1e-15)
 
 
@@ -32,7 +33,7 @@ def test_known_integrals():
     (value,), (err,) = integrate(one(math.sin), 0.0, math.pi, 1e-13)
     assert value == pytest.approx(2.0, abs=1e-13)
     assert err < 1e-12
-    (value,), _ = integrate(lambda x: (math.exp(-x * x),), 0.0, 3.0, 1e-13)
+    (value,), _ = integrate(pointwise(lambda x: (math.exp(-x * x),)), 0.0, 3.0, 1e-13)
     assert value == pytest.approx(math.erf(3.0) * math.sqrt(math.pi) / 2.0, abs=1e-13)
 
 
@@ -57,7 +58,7 @@ def test_budget_failure(monkeypatch):
     # integrable endpoint singularity with a tiny budget cannot reach 1e-15
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
     with pytest.raises(QuadratureFailure):
-        integrate(lambda x: (math.sqrt(abs(x)),), 0.0, 1.0, 1e-15)
+        integrate(pointwise(lambda x: (math.sqrt(abs(x)),)), 0.0, 1.0, 1e-15)
 
 
 def test_cumulative_matches_prefix_integrals():
@@ -117,9 +118,10 @@ def test_one_component_pass_is_the_scalar_pass_bit_for_bit(f, a, b, tol):
 
 
 def _counted(f):
-    def g(x):
-        g.calls += 1
-        return f(x)
+    """The batched integrand f, counting the points it reads."""
+    def g(xs):
+        g.calls += len(xs)
+        return f(xs)
     g.calls = 0
     return g
 
@@ -133,7 +135,7 @@ def test_each_component_meets_tol_under_one_subdivision():
     for f in counts:
         integrate(f, -1.0, 1.0, tol)
     assert counts[0].calls == 15 < counts[1].calls
-    pair = _counted(lambda x: (easy(x), hard(x)))
+    pair = _counted(pointwise(lambda x: (easy(x), hard(x))))
     values, errors = integrate(pair, -1.0, 1.0, tol)
     assert pair.calls == counts[1].calls  # the hard component sets the subdivision
     for value, err, want, f in zip(values, errors, exact, (easy, hard)):
@@ -141,12 +143,12 @@ def test_each_component_meets_tol_under_one_subdivision():
         assert abs(value - want) <= tol
         assert abs(value - integrate(one(f), -1.0, 1.0, 1e-15)[0][0]) <= tol
     # in either order
-    swapped, _ = integrate(lambda x: (hard(x), easy(x)), -1.0, 1.0, tol)
+    swapped, _ = integrate(pointwise(lambda x: (hard(x), easy(x))), -1.0, 1.0, tol)
     assert swapped == values[::-1]
 
 
 def test_vector_orientation_and_empty_interval():
-    f = lambda x: (math.cos(x), math.exp(x))  # noqa: E731
+    f = pointwise(lambda x: (math.cos(x), math.exp(x)))
     forward, _ = integrate(f, 0.0, 0.5, 1e-13)
     backward, _ = integrate(f, 0.5, 0.0, 1e-13)
     assert backward == tuple(-v for v in forward)
@@ -155,7 +157,7 @@ def test_vector_orientation_and_empty_interval():
 
 def test_vector_cumulative_matches_prefix_integrals():
     nodes = [0.0, -0.3, -0.8]
-    f = lambda x: (math.cos(x), math.sin(x))  # noqa: E731
+    f = pointwise(lambda x: (math.cos(x), math.sin(x)))
     cumulative = integrate_cumulative(f, nodes, 1e-13)
     assert cumulative[0] == (0.0, 0.0)
     assert integrate_cumulative(f, nodes[:1]) == [(0.0, 0.0)]  # a single node keeps the shape
@@ -166,7 +168,7 @@ def test_vector_cumulative_matches_prefix_integrals():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
 def test_vector_integrands_refuse_the_same_tolerances(tol):
-    f = lambda x: (math.cos(x), x)  # noqa: E731
+    f = pointwise(lambda x: (math.cos(x), x))
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         integrate(f, 0.0, 1.0, tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -175,6 +177,58 @@ def test_vector_integrands_refuse_the_same_tolerances(tol):
 
 def test_vector_budget_failure(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
-    f = lambda x: (math.cos(x), math.sqrt(abs(x)))  # noqa: E731
+    f = pointwise(lambda x: (math.cos(x), math.sqrt(abs(x))))
     with pytest.raises(QuadratureFailure, match="not reached after 3 panels"):
         integrate(f, 0.0, 1.0, 1e-15)
+
+
+def test_a_panel_reads_its_15_points_in_one_call_in_the_scalar_order():
+    calls = []
+
+    def f(xs):
+        calls.append(list(xs))
+        return [(x, 1.0) for x in xs]
+
+    a, b = -0.3, 1.1
+    _panel(f, a, b)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    # the points at which the scalar rule called its integrand, one by one
+    want = [mid]
+    for x in _XGK[:7]:
+        want += [mid - half * x, mid + half * x]
+    assert [[x.hex() for x in xs] for xs in calls] == [[x.hex() for x in want]]
+
+
+def _heap_integrate(f, a, b, tol):
+    """integrate as written before the first panel could be returned on its own:
+    the heap is built whatever the first panel's errors are."""
+    sign = 1.0
+    if a > b:
+        a, b, sign = b, a, -1.0
+    values, errors = _panel(f, a, b)
+    heap = [(-max(errors), a, b, values, errors)]
+    total_val, total_err = values, errors
+    while any(e > tol for e in total_err):
+        _, pa, pb, pval, perr = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        lv, le = _panel(f, pa, pm)
+        rv, re = _panel(f, pm, pb)
+        total_val = [t + (l + r - p) for t, l, r, p in zip(total_val, lv, rv, pval)]
+        total_err = [t + (l + r - p) for t, l, r, p in zip(total_err, le, re, perr)]
+        heapq.heappush(heap, (-max(le), pa, pm, lv, le))
+        heapq.heappush(heap, (-max(re), pm, pb, rv, re))
+    return tuple(sign * v for v in total_val), tuple(total_err)
+
+
+@pytest.mark.parametrize("f,a,b,tol,one_panel", [
+    (lambda x: (math.cos(x), x * x), 0.0, 0.5, 1e-12, True),
+    (lambda x: (math.cos(x), math.exp(x)), 0.7, -0.2, 1e-13, True),  # reversed
+    (lambda x: (1.0 / (1.0 + 400.0 * x * x), math.cos(x)), -1.0, 1.0, 1e-12, False),
+    (lambda x: (math.nan, math.cos(x)), 0.0, 1.0, 1e-12, True),  # a NaN error ends at once
+])
+def test_the_one_panel_return_is_the_adaptive_path(f, a, b, tol, one_panel):
+    counted = _counted(pointwise(f))
+    got = integrate(counted, a, b, tol)
+    want = _heap_integrate(pointwise(f), a, b, tol)
+    assert [[v.hex() for v in part] for part in got] == [[v.hex() for v in part] for part in want]
+    assert (counted.calls == 15) == one_panel

@@ -112,6 +112,10 @@ def cases():
                        ("invariants", 16), ("validate", 31), ("validate", 32)):
         yield f"high_k{k}", _high_k(k), [command, "--datum", "datum.json"]
 
+    # a tolerance under which some chart segments take more than the one panel
+    # each takes under the default, so the chart's quadrature subdivides
+    yield "readme", README, ["roundtrip", "--datum", "datum.json", "--quad-tol", "1e-22"]
+
     # probe counts and ranges
     for probe in (["-0.5", "0.5", "0"], ["5", "6", "10"], ["-0.5", "0.5", "2.7"],
                   ["-0.5", "0.5", "-3"], ["-0.5", "0.5", "1"]):
