@@ -7,7 +7,11 @@ diffeomorphically over the admissible region, with Jacobian determinant
 Jacobian comes from evaluating psi on jets; steps are halved until the
 radicand at s = 0 stays positive, and the solution is re-validated on all of J.
 
-A family's members share U and V at the metric sample points
+A family's members are decided by one star scan per m (``profile.star_bound``):
+a member whose h^2 clears that scan's least radicand by its proven rounding
+margin is valid or invalid without a scan of its own, and only a member in
+the tie band between is scanned (``profile.decided_sibling``). The members
+share U and V at the metric sample points
 (``metric_reference``), so a member's forms are one call of
 ``bour.fundamental_forms``: one generated loop over the 50 points, built once
 per process, with the (h, m) work done once per member. U and V there are one
@@ -33,7 +37,7 @@ from ._fmt import fmt17
 from ._vec import linspace, max_abs, solve2
 from .errors import BourEdgeError, DomainError, NoConvergence, StarViolation
 from .jets import jet_sqrt, variable_jet
-from .profile import EdgeData, rho, sibling, sqrt_at, uv_table
+from .profile import EdgeData, decided_sibling, rho, sibling, sqrt_at, uv_table
 
 METRIC_SAMPLE_COUNT = 50
 METRIC_SEED = 20260809
@@ -160,19 +164,22 @@ def deformation_family(data: EdgeData, h_span, m_span, nh, nm) -> DeformationFam
     h runs over nh values of base.h +- h_span and m over nm values of
     base.m +- m_span (clipped to m > 0); a count of 1 takes the base's own
     value. Invalid combinations are kept in the grid with valid=False.
-    Members share U and V with the base: on the star grid through
-    ``sibling``, and at the metric sample points through one
-    ``metric_reference``, which also holds the base's forms.
+    Members share U and V with the base: on the star grid, which one bound
+    pass per m reads (``profile.decided_sibling``), and at the metric sample
+    points through one ``metric_reference``, which also holds the base's forms.
     """
     hs = _grid_axis("nh", data.h, h_span, nh)
     ms = _grid_axis("nm", data.m, m_span, nm, floor=1e-6)
     reference = None
     members = []
+    bounds = {}
     for h in hs:
         for m in ms:
             try:
-                member = sibling(data, h, m)
+                member = decided_sibling(data, h, m, bounds)
             except BourEdgeError:
+                member = None
+            if member is None:
                 members.append(FamilyMember(h, m, False, None, None))
                 continue
             if reference is None:  # on the first valid member: a family with none reads no form
@@ -306,10 +313,17 @@ def isomers(data: EdgeData) -> IsomerSet:
 
 
 def revolution_path(data: EdgeData, steps) -> list:
-    """Members along the linear pitch schedule h0 -> 0 (all remain valid)."""
+    """Members along the linear pitch schedule h0 -> 0 (all remain valid), decided by
+    one bound pass at the datum's m (``profile.decided_sibling``)."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    return [sibling(data, h, data.m) for h in linspace(data.h, 0.0, steps)]
+    bounds = {}
+    path = []
+    for h in linspace(data.h, 0.0, steps):
+        member = decided_sibling(data, h, data.m, bounds)
+        # sibling raises the StarViolation of a member the bound proves invalid
+        path.append(sibling(data, h, data.m) if member is None else member)
+    return path
 
 
 def export_family(family: DeformationFamily, out_dir, rows=40, cols=40,

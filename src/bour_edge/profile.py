@@ -30,8 +30,14 @@ siblings also share one table of U and V on the default star grid
 member's scan then runs ``star_radicand`` over the table's rows in one
 generated loop (``star_scan_kernel``, built once per process), with m^2,
 h^2 and m^4 computed once, and reads the failures only when the least
-radicand, or the sum that carries a NaN, is not positive. The siblings also share deform's
-values at the metric sample points (``EdgeData.metric_values``).
+radicand, or the sum that carries a NaN, is not positive. Since rho^2 is
+m^2 U^2 (1 - m^2 V^2) - h^2, a member passes that scan, up to rounding,
+exactly when h^2 is below A(m), the least rho^2 of the scan at h = 0. A
+family takes that one scan per m (``star_bound``), and decides each member
+whose h^2 lies farther from A(m) than a proven rounding margin without a
+scan of its own (``decided_sibling``); only a member inside that tie band
+is scanned. The siblings also share deform's values at the metric sample
+points (``EdgeData.metric_values``).
 """
 
 from __future__ import annotations
@@ -62,6 +68,8 @@ V_SWITCH_RADIUS = 1e-3
 
 DEFAULT_STAR_SAMPLES = 1024
 _BISECT_WIDTH = 1e-10
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,8 @@ class EdgeData:
     J: tuple
     u_jet: Jet = field(compare=False, default=None)  # U's series at 0
     v_jet: Jet = field(compare=False, default=None)  # V's, cut from u_jet
-    # The least rho^2 of the star scan; None on a replace() copy.
+    # The least rho^2 of the star scan; None on a replace() copy, and on a family
+    # member that the star bound decided without a scan (``decided_sibling``).
     _rho_min: float = field(compare=False, default=None, repr=False)
     _series: tuple = field(compare=False, default=None, repr=False)
     _point_kernel: object = field(compare=False, default=None, repr=False)
@@ -225,7 +234,13 @@ def sqrt_at(s):
 
 
 def radicand(data: EdgeData, s):
-    return star_radicand(data.u_value(s), data.v_value(s), data.h, data.m)
+    """rho^2 at s, with U and V read by one call of the datum's ``uv_table``; by
+    ``u_value`` and ``v_value`` where that call refuses, so the values and errors are
+    theirs."""
+    table = uv_table(data, (float(s),))
+    if table is None:
+        return star_radicand(data.u_value(s), data.v_value(s), data.h, data.m)
+    return star_radicand(table[0][0], table[1][0], data.h, data.m)
 
 
 def rho(data: EdgeData, s):
@@ -368,6 +383,49 @@ def check_star(data: EdgeData, samples=DEFAULT_STAR_SAMPLES):
     return ValidationReport(star_ok=not failures, rho_min=rho_min, failures=tuple(failures))
 
 
+def star_bound(data: EdgeData, m):
+    """(D, margin) that decide the star scan of every member (h, m) of the valid datum
+    on the shared default grid (``data.star_grid``), from one scan at h = 0; None
+    where that scan proves nothing. Reads the grid as a member's scan would, so it
+    raises the errors of that reading.
+
+    A member whose H = fl(h*h) is below fl(D - margin) passes its scan, and one whose
+    H is above fl(D + margin) fails it (``decided_sibling``); in between lies the
+    tie band, where only the member's own scan decides.
+
+    Proof. The scan's value at row i is r_i = fl(fl(A_i - H) - B_i), with its two
+    terms A_i = fl(fl(m*m) * fl(u_i*u_i)) and B_i = fl(fl(m**4 * fl(u_i*u_i)) *
+    fl(v_i*v_i)) (``star_scan_kernel``). At h = 0, H = 0 and it is c_i = fl(A_i - B_i);
+    D = min c_i. The difference of two floats is exact where it is subnormal, so,
+    with u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 2.2), a rounded difference has the sign of the exact one and lies within
+    u times its size of it; hence r_i > 0 exactly when fl(A_i - H) > B_i. Rounding is
+    monotone, so M, computed from the largest U and |V| of the grid as the scan spells
+    the terms, is at least every A_i and B_i, and |c_i| <= M. margin = 4uM, exact since
+    it is a normal number.
+    - Valid: if H < fl(D - margin) <= D - 4uM + u(M + 4uM) < D - 2uM, then H < M, so
+      |A_i - H| <= M, and on every row fl(A_i - H) - B_i >= A_i - B_i - H - uM
+      >= c_i - 2uM - H >= D - 2uM - H > 0.
+    - Invalid: if H > fl(D + margin) >= D + 4uM - u(M + 4uM) > D + 2uM, take a row j
+      with c_j = D. If H >= A_j, fl(A_j - H) <= 0 <= B_j. Otherwise 0 < A_j - H <= M
+      and fl(A_j - H) - B_j <= A_j - B_j - H + uM <= D + 2uM - H < 0. Either way
+      r_j <= 0.
+    A D - margin or D + margin that overflows decides no member. Where a c_i is a NaN
+    or infinite (the sum holds either, and min() passes over a NaN), or M is not
+    finite, or margin is not a normal number, there is no bound.
+    """
+    grid, us, vs = data.star_grid
+    values = star_scan_kernel()(zip(us, vs), 0.0, m)
+    if not math.isfinite(sum(values)):
+        return None
+    umax, vmax = max(us), max(map(abs, vs))  # U is positive on the grid
+    uu = umax * umax
+    margin = 4.0 * _UNIT_ROUNDOFF * max(m * m * uu, m**4 * uu * (vmax * vmax))
+    if not _SMALLEST_NORMAL <= margin < math.inf:
+        return None
+    return min(values), margin
+
+
 def _u_series(U, k):
     """U's series at 0, to the order the readers of a datum with this k need."""
     # The natural chart needs z to order 2k + 13, and z keeps k orders fewer
@@ -456,13 +514,39 @@ def make_edge_data(U, h, m, eps0, eps1, eps2, k, J, zero_tol=None, samples=DEFAU
     return _star_checked(data, samples)
 
 
+def _sibling_copy(data, h, m):
+    return dataclasses.replace(data, h=h, m=m, _rho_min=None, _series=None, _point_kernel=None)
+
+
 def sibling(data: EdgeData, h, m):
     """The valid datum's (h, m) sibling: U, k, J, signs, U's series and the values
     of the star grid and the metric points are shared, so only h, m and the star
     condition (default grid) are checked again."""
     h, m = _checked_hm(h, m, data.J)
-    member = dataclasses.replace(data, h=h, m=m, _rho_min=None, _series=None, _point_kernel=None)
-    return _star_checked(member, DEFAULT_STAR_SAMPLES)
+    return _star_checked(_sibling_copy(data, h, m), DEFAULT_STAR_SAMPLES)
+
+
+def decided_sibling(data: EdgeData, h, m, bounds):
+    """sibling(data, h, m), or None where the star bound of m proves it invalid.
+
+    ``bounds`` maps m to its ``star_bound`` and is filled on first use, so the
+    members of one m share one bound pass. A member whose h*h clears the bound's
+    margin is decided without a scan: a valid one is sibling's copy, with no
+    rho_min, and an invalid one is None. A member in the tie band, or of an m
+    without a bound, is scanned as ``sibling`` scans it, and raises as it does.
+    h and m are checked first, with sibling's errors.
+    """
+    h, m = _checked_hm(h, m, data.J)
+    if m not in bounds:
+        bounds[m] = star_bound(data, m)
+    bound = bounds[m]
+    if bound is not None:
+        d, margin = bound
+        if h * h > d + margin:
+            return None
+        if h * h < d - margin:
+            return _sibling_copy(data, h, m)
+    return _star_checked(_sibling_copy(data, h, m), DEFAULT_STAR_SAMPLES)
 
 
 def datum_from_dict(payload, zero_tol=None, samples=DEFAULT_STAR_SAMPLES):

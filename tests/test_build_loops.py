@@ -17,7 +17,8 @@ import pytest
 from bour_edge import bour
 from bour_edge._vec import linspace
 from bour_edge.errors import DomainError, NonPositiveU
-from bour_edge.profile import V_SWITCH_RADIUS, grid_values, table_loop
+from bour_edge.profile import V_SWITCH_RADIUS, grid_values, radicand, star_radicand, table_loop, uv_table
+from tree_walk import pointwise_v
 
 BIG = 1.7976931348623157e308
 
@@ -92,18 +93,18 @@ def test_the_mesh_row_loop_refuses_a_non_finite_angle_as_the_float_path():
 
 
 def _pointwise_grid_values(data, samples):
-    """grid_values as it read U and V point by point: every U first, the refusal of
-    a U that is not positive, then every V."""
+    """grid_values as it read U and V point by point, by U's and U''s own compiled
+    trees: every U first, the refusal of a U that is not positive, then every V."""
     lo, hi = data.J
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     if not any(abs(g) < 1e-15 for g in grid):
         grid.append(0.0)
         grid.sort()
-    us = [data.u_value(s) for s in grid]
+    us = [data.U(s) for s in grid]
     for s, u in zip(grid, us):
         if not u > 0.0:
             raise NonPositiveU(f"U({s!r}) = {u!r} is not positive on J")
-    return grid, us, [data.v_value(s) for s in grid]
+    return grid, us, [pointwise_v(data, s) for s in grid]
 
 
 def test_the_table_loop_is_the_pointwise_reading(corpus, ladder_data, high_k_data, digest_data):
@@ -144,6 +145,23 @@ def test_the_table_loop_refuses_as_the_pointwise_reading(edge_k1, U, J, samples,
     grid = _pointwise_grid_values(edge_k1.replace(J=J), samples)[0]
     loop = _outcome(lambda: table_loop(d)(grid))
     assert (loop[0] == "error" or loop[1] is None) == falls_back
+
+
+@pytest.mark.parametrize("U, J, samples", [case[:3] for case in REFUSALS.values()], ids=REFUSALS.keys())
+def test_the_radicand_reads_U_and_V_in_one_call(edge_k1, program_reads, U, J, samples):
+    # One call of the U program's table, or, where it refuses, the values and errors
+    # of the two readers it replaced, u_value and v_value.
+    d = edge_k1.replace(U=U, J=J)
+    kinds = set()
+    for s in (*linspace(*J, samples), 0.0, 5e-4, -2e-4, math.nextafter(V_SWITCH_RADIUS, 0.0)):
+        refused = uv_table(d, (s,)) is None
+        program_reads.clear()
+        got = _outcome(lambda: radicand(d, s))
+        reads = [name for name, _ in program_reads]
+        assert got == _outcome(lambda: star_radicand(d.u_value(s), d.v_value(s), d.h, d.m)), s
+        assert reads[0] == "table" and (reads == ["table"]) == (not refused), (s, reads)
+        kinds.add((got[0], refused))
+    assert ("value", False) in kinds
 
 
 def _faces(rows, cols):

@@ -107,6 +107,15 @@ def cases():
                 ["validate", "--datum", "datum.json", *json_flag]
     yield "not_an_object", [README], ["validate", "--datum", "datum.json"]
 
+    # members on both sides of the star condition's h limit: the k = 2 datum's limit at
+    # m = 1 is h = 0.8082978165971157, which the top member passes by 3e-9 or by 1e-16,
+    # or falls short of by 2e-16; the last two lie in the star bound's tie band
+    yield "readme", README, ["deform", "--datum", "datum.json", "--nh", "9", "--nm", "5",
+                             "--h-span", "1.0", "--m-span", "0.4"]
+    for span in ("0.70829782", "0.7082978165971158", "0.7082978165971155"):
+        yield "edge_k2", DATA["edge_k2"], ["deform", "--datum", "datum.json", "--nh", "3",
+                                           "--nm", "1", "--h-span", span]
+
     # a family whose U'(0) passes only the user's zero tolerance
     zero_tol = ["--datum", "datum.json", "--zero-tol", "1e-7"]
     yield "zero_tol", ZERO_TOL, ["validate", *zero_tol]
